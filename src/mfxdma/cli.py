@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline, series, stats, synth
+from .dma import DegenerateSegmentError
 from .pipeline import AnalysisBundle, PipelineError, RunConfig
-from .surrogate import SurrogateScheme
+from .surrogate import EnsembleFailedError, SurrogateScheme
 
 log = logging.getLogger(__name__)
 
@@ -294,17 +295,16 @@ def _cmd_surrogate_test(args) -> int:
     analysis.validate_for_length(pair.n)
     _, hurst = dma_mod.analyze_pair(pair.x.values, pair.y.values, analysis)
     spectrum = mf.joint_spectrum(hurst)
-    tests = []
-    for scheme in config.schemes:
-        rep = sg.intrinsic_test(pair, scheme, config.n_surrogates,
-                                config.master_seed, analysis,
-                                level=config.significance_level,
-                                max_iter=config.iaaft_max_iter,
-                                workers=config.workers,
-                                delta_alpha_original=spectrum.delta_alpha)
-        tests.append(rep)
-        print(f"scheme {scheme.value} ({scheme.name}): p={rep.p_value:.4f} "
-              f"mean={rep.mean_surrogate_width:.4f} n={rep.n_surrogates}")
+    tests = sg.intrinsic_tests(pair, config.schemes, config.n_surrogates,
+                               config.master_seed, analysis,
+                               level=config.significance_level,
+                               max_iter=config.iaaft_max_iter,
+                               workers=config.workers,
+                               delta_alpha_original=spectrum.delta_alpha)
+    for rep in tests:
+        print(f"scheme {rep.scheme.value} ({rep.scheme.name}): "
+              f"p={rep.p_value:.4f} mean={rep.mean_surrogate_width:.4f} "
+              f"n={rep.n_surrogates}")
     if args.out:
         bundle = AnalysisBundle(config=config,
                                 pair_label=f"{pair.x.label}-{pair.y.label}",
@@ -375,6 +375,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except _UsageError:
         return 1
+    except (DegenerateSegmentError, EnsembleFailedError) as exc:
+        # ValueErrors that come out of a stage's numbers, not its inputs
+        log.error("stage failed: %s", exc)
+        return 2
     except (series.SeriesError, PipelineError, ValueError) as exc:
         log.error("%s", exc)
         return 1

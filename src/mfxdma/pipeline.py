@@ -177,13 +177,16 @@ def run_analysis(config: RunConfig, write: bool = True) -> AnalysisBundle:
     def do_surrogates():
         if bundle.spectrum is None:
             raise PipelineError("scaling stage did not complete")
-        for scheme in config.schemes:
-            rep = surrogate.intrinsic_test(
-                pair, scheme, config.n_surrogates, config.master_seed,
+        try:
+            bundle.surrogate_tests = surrogate.intrinsic_tests(
+                pair, config.schemes, config.n_surrogates, config.master_seed,
                 analysis, level=config.significance_level,
                 max_iter=config.iaaft_max_iter, workers=config.workers,
                 delta_alpha_original=bundle.spectrum.delta_alpha)
-            bundle.surrogate_tests.append(rep)
+        except surrogate.EnsembleFailedError as exc:
+            # the schemes before the failed one are still reported
+            bundle.surrogate_tests = exc.completed
+            raise
 
     stage("qcc", do_qcc)
     stage("spectrum", do_spectrum)

@@ -7,20 +7,31 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
 from . import dma
 from .dma import DegenerateSegmentError, DmaConfig
 from .multifractal import JointSpectrumResult, joint_spectrum
-from .series import AlignedPair, ReturnSeries
+from .series import AlignedPair
 
 log = logging.getLogger(__name__)
 
 
 class SurrogateError(ValueError):
     pass
+
+
+class EnsembleFailedError(SurrogateError):
+    """No member of a scheme's ensemble completed.
+
+    completed holds the reports of the schemes before it in the
+    requested order, which did complete.
+    """
+
+    def __init__(self, message: str, completed: list[SurrogateTestReport]):
+        super().__init__(message)
+        self.completed = completed
 
 
 class SurrogateScheme(Enum):
@@ -95,7 +106,7 @@ def iaaft_with_iterations(series: np.ndarray, max_iter: int = 1000,
     target_amp = np.abs(np.fft.rfft(x))
     rng = np.random.default_rng(seed)
     cur = rng.permutation(x)
-    prev_rank = None
+    prev_order = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         spec = np.fft.rfft(cur)
@@ -106,12 +117,19 @@ def iaaft_with_iterations(series: np.ndarray, max_iter: int = 1000,
         nz = mag > 0.0
         unit[nz] = spec[nz] / mag[nz]
         cur = np.fft.irfft(target_amp * unit, n=n)
-        rank = np.argsort(np.argsort(cur, kind="stable"), kind="stable")
-        cur = sorted_vals[rank]
-        if prev_rank is not None and np.array_equal(rank, prev_rank):
+        # rank-order remap: the value of rank j goes where the j-th
+        # smallest entry sits.  Two rank vectors are equal exactly when
+        # their inverse permutations (the sort orders) are.
+        order = np.argsort(cur, kind="stable")
+        cur = np.empty(n)
+        cur[order] = sorted_vals
+        if prev_order is not None and np.array_equal(order, prev_order):
+            log.debug("iaaft converged in %d iterations (n=%d)", iterations, n)
             break
-        prev_rank = rank
-    log.debug("iaaft converged in %d iterations (n=%d)", iterations, n)
+        prev_order = order
+    else:
+        log.warning("iaaft reached max_iter=%d without its rank order "
+                    "settling (n=%d, seed=%d)", max_iter, n, seed)
     return cur, iterations
 
 
@@ -119,30 +137,6 @@ def _member_seed(master_seed: int, k: int, side: int) -> int:
     # spawn-safe derivation: independent of scheduling and worker count
     ss = np.random.SeedSequence((master_seed, k, side))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def surrogate_ensemble(pair: AlignedPair, scheme: SurrogateScheme, n: int,
-                       master_seed: int, max_iter: int = 1000) -> Iterator[AlignedPair]:
-    """Yield n surrogate pairs for the scheme, deterministically seeded."""
-    if n < 1:
-        raise SurrogateError(f"need n >= 1, got {n}")
-    for k in range(n):
-        yield _build_member(pair, scheme, k, master_seed, max_iter)
-
-
-def _build_member(pair: AlignedPair, scheme: SurrogateScheme, k: int,
-                  master_seed: int, max_iter: int) -> AlignedPair:
-    if scheme.replaces_x:
-        xv = iaaft(pair.x.values, max_iter, _member_seed(master_seed, k, 0))
-        x = ReturnSeries(label=pair.x.label, dates=pair.x.dates, values=xv)
-    else:
-        x = pair.x
-    if scheme.replaces_y:
-        yv = iaaft(pair.y.values, max_iter, _member_seed(master_seed, k, 1))
-        y = ReturnSeries(label=pair.y.label, dates=pair.y.dates, values=yv)
-    else:
-        y = pair.y
-    return AlignedPair(x=x, y=y)
 
 
 def _pair_spectrum(x_values: np.ndarray, y_values: np.ndarray,
@@ -161,42 +155,73 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def intrinsic_test(pair: AlignedPair, scheme: SurrogateScheme, n: int,
-                   master_seed: int, analysis: DmaConfig,
-                   level: float = 0.05, max_iter: int = 1000,
-                   workers: int | None = None,
-                   delta_alpha_original: float | None = None) -> SurrogateTestReport:
-    """Compare the pair's singularity width against a surrogate ensemble.
+def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
+                    analysis: DmaConfig, level: float = 0.05,
+                    max_iter: int = 1000, workers: int | None = None,
+                    delta_alpha_original: float | None = None
+                    ) -> list[SurrogateTestReport]:
+    """Compare the pair's singularity width against one ensemble per scheme.
 
-    Ensemble members are evaluated concurrently; per-member seeds are
-    derived up front so the outcome does not depend on worker count.
-    Pass delta_alpha_original to reuse an already-computed original width.
+    The schemes share one surrogate bank: member k draws its x surrogate
+    from seed (master_seed, k, 0) and its y surrogate from
+    (master_seed, k, 1), builds each at most once, and evaluates every
+    requested scheme on it.  Members run concurrently and only the
+    members in flight hold surrogates; seeds are derived per member, so
+    the outcome does not depend on worker count.  Reports come back in
+    the order of schemes.  Pass delta_alpha_original to reuse an
+    already-computed original width.
     """
+    schemes = tuple(SurrogateScheme(s) for s in schemes)
+    if not schemes:
+        raise SurrogateError("need at least one scheme")
+    if n < 1:
+        raise SurrogateError(f"need n >= 1, got {n}")
     if delta_alpha_original is None:
         delta_alpha_original = _pair_spectrum(pair.x.values, pair.y.values,
                                               analysis).delta_alpha
     if workers is None:
         workers = default_workers()
+    need_x = any(s.replaces_x for s in schemes)
+    need_y = any(s.replaces_y for s in schemes)
 
-    def member(k: int):
-        member_pair = _build_member(pair, scheme, k, master_seed, max_iter)
-        try:
-            return _pair_spectrum(member_pair.x.values, member_pair.y.values,
-                                  analysis)
-        except DegenerateSegmentError as exc:
-            log.warning("surrogate member %d excluded: %s", k, exc)
-            return None
+    def member(k: int) -> list[JointSpectrumResult | None]:
+        xs = (iaaft(pair.x.values, max_iter, _member_seed(master_seed, k, 0))
+              if need_x else None)
+        ys = (iaaft(pair.y.values, max_iter, _member_seed(master_seed, k, 1))
+              if need_y else None)
+        spectra = []
+        for scheme in schemes:
+            xv = xs if scheme.replaces_x else pair.x.values
+            yv = ys if scheme.replaces_y else pair.y.values
+            try:
+                spectra.append(_pair_spectrum(xv, yv, analysis))
+            except DegenerateSegmentError as exc:
+                log.warning("surrogate member %d excluded from scheme %d: %s",
+                            k, scheme.value, exc)
+                spectra.append(None)
+        return spectra
 
     if workers == 1:
         results = [member(k) for k in range(n)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(member, range(n)))
-    # completion order never matters: results are reduced in member order
-    good = [r for r in results if r is not None]
-    excluded = n - len(good)
-    if not good:
-        raise SurrogateError("every surrogate member failed; cannot form a p-value")
+    # completion order never matters: each scheme is reduced in member order
+    reports: list[SurrogateTestReport] = []
+    for i, scheme in enumerate(schemes):
+        good = [r[i] for r in results if r[i] is not None]
+        if not good:
+            raise EnsembleFailedError(
+                f"every surrogate member failed under scheme {scheme.value}; "
+                "cannot form a p-value", reports)
+        reports.append(_report(scheme, good, n - len(good),
+                               float(delta_alpha_original), master_seed, level))
+    return reports
+
+
+def _report(scheme: SurrogateScheme, good: list[JointSpectrumResult],
+            excluded: int, delta_alpha_original: float, master_seed: int,
+            level: float) -> SurrogateTestReport:
     widths = np.array([r.delta_alpha for r in good])
     h_curves = np.stack([r.h for r in good])
     tau_curves = np.stack([r.tau for r in good])
@@ -207,7 +232,7 @@ def intrinsic_test(pair: AlignedPair, scheme: SurrogateScheme, n: int,
     p_value = exceed / len(good)
     return SurrogateTestReport(
         scheme=scheme,
-        delta_alpha_original=float(delta_alpha_original),
+        delta_alpha_original=delta_alpha_original,
         mean_surrogate_width=float(widths.mean()),
         std_surrogate_width=float(widths.std(ddof=1)) if len(good) > 1 else 0.0,
         p_value=p_value,

@@ -193,8 +193,8 @@ def test_surrogate_test_discrimination():
         _, hurst = dma.analyze_pair(cells, cells, config)
         delta = multifractal.joint_spectrum(hurst).delta_alpha
         t0 = time.time()
-        cascade_rep = surrogate.intrinsic_test(
-            pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 200, 42, config,
+        [cascade_rep] = surrogate.intrinsic_tests(
+            pair, (SurrogateScheme.IAAFT_X_IAAFT_Y,), 200, 42, config,
             level=0.10, delta_alpha_original=delta)
         cascade_seconds = time.time() - t0
 
@@ -206,10 +206,9 @@ def test_surrogate_test_discrimination():
             null_pair = make_pair(xv, yv)
             _, nh = dma.analyze_pair(xv, yv, null_config)
             ndelta = multifractal.joint_spectrum(nh).delta_alpha
-            ps = [surrogate.intrinsic_test(null_pair, scheme, 60, 9000 + r,
-                                           null_config, level=0.10,
-                                           delta_alpha_original=ndelta).p_value
-                  for scheme in SurrogateScheme]
+            ps = [rep.p_value for rep in surrogate.intrinsic_tests(
+                null_pair, tuple(SurrogateScheme), 60, 9000 + r, null_config,
+                level=0.10, delta_alpha_original=ndelta)]
             clean += all(p > 0.10 for p in ps)
         record(cascade_rep.p_value < 0.10 and cascade_seconds < 300
                and clean >= 8,

@@ -79,6 +79,28 @@ class TestRunAnalysis:
         assert (out / "surrogate_iaaft_x_iaaft_y.csv").exists()
         assert (out / "figdata" / "width_hist_iaaft_x_iaaft_y.csv").exists()
 
+    def test_failed_scheme_keeps_earlier_schemes(self, tmp_path, monkeypatch):
+        from mfxdma import surrogate
+
+        real = surrogate._pair_spectrum
+        pair = pipeline.load_pair(_config(tmp_path))
+
+        def fail_scheme2(xv, yv, config):
+            if np.array_equal(xv, pair.x.values):  # original x: scheme 2
+                raise dma.DegenerateSegmentError("segment 0 degenerate")
+            return real(xv, yv, config)
+
+        monkeypatch.setattr(surrogate, "_pair_spectrum", fail_scheme2)
+        config = _config(tmp_path, n_surrogates=2, schemes=tuple(SurrogateScheme))
+        bundle = run_analysis(config)
+        assert not bundle.stages[-1].ok
+        assert bundle.stages[-1].error.startswith("EnsembleFailedError")
+        assert [r.scheme for r in bundle.surrogate_tests] == [
+            SurrogateScheme.IAAFT_X_ORIG_Y]
+        out = Path(config.out_dir)
+        assert sorted(p.name for p in out.glob("surrogate_*.csv")) == [
+            "surrogate_iaaft_x_orig_y.csv"]
+
     def test_skipping_surrogates_leaves_other_numbers_alone(self, tmp_path):
         c1 = _config(tmp_path, out_dir=str(tmp_path / "o1"))
         run_analysis(c1)
@@ -264,6 +286,54 @@ class TestCli:
                        "--n-scales", "8", "--out", str(tmp_path / "t")])
         assert rc == 0
         assert (tmp_path / "t" / "surrogate_iaaft_x_iaaft_y.csv").exists()
+
+    def _flat_stretch_csvs(self, tmp_path):
+        # returns 400-499 are zero on both sides, so every segment of
+        # that stretch has zero cross-fluctuation
+        paths = []
+        for name, seed in (("x.csv", 13), ("y.csv", 14)):
+            r = 0.01 * synth.fgn(1000, 0.5, seed)
+            r[400:500] = 0.0
+            levels = np.exp(np.cumsum(r))
+            paths.append(str(write_series_csv(
+                tmp_path / name, np.concatenate([[1.0], levels]))))
+        return paths
+
+    def test_runtime_stage_failure_exits_2(self, tmp_path, capsys):
+        x, y = self._flat_stretch_csvs(tmp_path)
+        flags = ["--x", x, "--y", y, "--scale-max", "100"]
+        assert cli.main(["spectrum", *flags]) == 2
+        assert cli.main(["surrogate-test", *flags, "--seed", "1",
+                         "--surrogates", "2", "--schemes", "3"]) == 2
+        assert cli.main(["analyze", *flags, "--surrogates", "0",
+                         "--out", str(tmp_path / "a")]) == 2
+
+    def test_config_validation_exits_1(self, tmp_path, capsys):
+        x, y = self._flat_stretch_csvs(tmp_path)
+        # scale_max above N/4 is rejected before any stage runs
+        flags = ["--x", x, "--y", y, "--scale-max", "300"]
+        assert cli.main(["spectrum", *flags]) == 1
+        assert cli.main(["analyze", *flags, "--surrogates", "0"]) == 1
+
+    def test_failed_surrogate_ensemble_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        from mfxdma import surrogate
+
+        def degenerate(xv, yv, config):
+            raise dma.DegenerateSegmentError("segment 0 degenerate")
+
+        monkeypatch.setattr(surrogate, "_pair_spectrum", degenerate)
+        x = _fgn_csv(tmp_path, "x.csv", 600, 11)
+        y = _fgn_csv(tmp_path, "y.csv", 600, 12)
+        assert cli.main(["surrogate-test", "--x", str(x), "--y", str(y),
+                         "--seed", "2", "--surrogates", "2", "--schemes", "3",
+                         "--scale-min", "8", "--scale-max", "120",
+                         "--n-scales", "8"]) == 2
+        # an ensemble size of 0 is a usage error, not a failed stage
+        assert cli.main(["surrogate-test", "--x", str(x), "--y", str(y),
+                         "--seed", "2", "--surrogates", "0",
+                         "--scale-min", "8", "--scale-max", "120",
+                         "--n-scales", "8"]) == 1
 
     def test_synth_fgn_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "g.csv"

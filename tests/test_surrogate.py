@@ -1,18 +1,35 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import surrogate_oracle as oracle
 from conftest import make_pair
 from mfxdma import surrogate as sg
 from mfxdma.dma import DegenerateSegmentError, DmaConfig
-from mfxdma.surrogate import (SurrogateError, SurrogateScheme, iaaft,
-                              iaaft_with_iterations, intrinsic_test,
-                              surrogate_ensemble)
+from mfxdma.surrogate import (EnsembleFailedError, SurrogateError,
+                              SurrogateScheme, iaaft, iaaft_with_iterations,
+                              intrinsic_tests)
+
+S1, S2, S3 = SurrogateScheme
+CFG = DmaConfig(scale_min=8, scale_max=60, n_scales=8)
 
 
 def _ar1(n, phi, seed):
     rng = np.random.default_rng(seed)
     return lfilter([1.0], [1.0, -phi], rng.standard_normal(n))
+
+
+def _fake_spectrum(width):
+    spec = type("S", (), {})()
+    spec.delta_alpha = width
+    spec.h = np.zeros(3)
+    spec.tau = np.zeros(3)
+    spec.alpha = np.zeros(3)
+    spec.f_alpha = np.zeros(3)
+    return spec
 
 
 class TestIaaft:
@@ -52,68 +69,122 @@ class TestIaaft:
         with pytest.raises(SurrogateError):
             iaaft(np.array([1.0, np.nan] + [0.0] * 10), 10, 0)
 
+    @pytest.mark.parametrize("case, series, max_iter", [
+        ("even n", _ar1(512, 0.6, 21), 1000),
+        ("odd n", _ar1(515, 0.6, 22), 1000),
+        # a rounded heavy-tailed draw repeated four times: most values
+        # occur many times, and the spectrum has only every fourth bin,
+        # so each iterate holds exact ties and the stable tie order
+        # decides the rank vector
+        ("many ties",
+         np.tile(np.round(np.random.default_rng(23).standard_t(3, 150), 1), 4),
+         1000),
+        ("constant", np.full(64, -0.25), 1000),
+        ("hits max_iter", _ar1(800, 0.9, 24), 3),
+    ])
+    def test_matches_double_argsort_reference(self, case, series, max_iter):
+        for seed in (0, 1, 7, 12345):
+            got, got_iters = iaaft_with_iterations(series, max_iter, seed)
+            want, want_iters = oracle.iaaft_reference(series, max_iter, seed)
+            assert got_iters == want_iters, case
+            assert np.array_equal(got, want), case
+        if case == "hits max_iter":
+            assert got_iters == max_iter
+
+    def test_non_convergence_warns(self, caplog):
+        x = _ar1(400, 0.7, 5)
+        with caplog.at_level(logging.WARNING, logger="mfxdma.surrogate"):
+            _, iters = iaaft_with_iterations(x, max_iter=2, seed=3)
+        assert iters == 2
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "max_iter=2" in warnings[0].getMessage()
+
+    def test_convergence_does_not_warn(self, caplog):
+        x = _ar1(400, 0.7, 5)
+        with caplog.at_level(logging.WARNING, logger="mfxdma.surrogate"):
+            _, iters = iaaft_with_iterations(x, max_iter=1000, seed=3)
+        assert iters < 1000
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def _member_inputs(monkeypatch, pair, schemes, n, seed):
+    """The (x, y) arrays each member hands to each scheme's spectrum,
+    as members[k][i] for the i-th scheme."""
+    seen = []
+
+    def record(xv, yv, config):
+        seen.append((xv, yv))
+        return _fake_spectrum(0.5)
+
+    monkeypatch.setattr(sg, "_pair_spectrum", record)
+    intrinsic_tests(pair, schemes, n, seed, CFG, workers=1,
+                    delta_alpha_original=0.1)
+    monkeypatch.undo()
+    width = len(schemes)
+    return [seen[k * width:(k + 1) * width] for k in range(n)]
+
 
 class TestEnsemble:
     def _pair(self):
         return make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
 
-    def test_scheme2_passes_x_through(self):
+    def test_scheme2_passes_x_through(self, monkeypatch):
         pair = self._pair()
-        for member in surrogate_ensemble(pair, SurrogateScheme.ORIG_X_IAAFT_Y, 3, 5):
-            assert member.x.values is pair.x.values
-            assert not np.array_equal(member.y.values, pair.y.values)
+        for (xv, yv), in _member_inputs(monkeypatch, pair, (S2,), 3, 5):
+            assert xv is pair.x.values
+            assert not np.array_equal(yv, pair.y.values)
 
-    def test_scheme1_passes_y_through(self):
+    def test_scheme1_passes_y_through(self, monkeypatch):
         pair = self._pair()
-        for member in surrogate_ensemble(pair, SurrogateScheme.IAAFT_X_ORIG_Y, 3, 5):
-            assert member.y.values is pair.y.values
+        for (xv, yv), in _member_inputs(monkeypatch, pair, (S1,), 3, 5):
+            assert yv is pair.y.values
+            assert not np.array_equal(xv, pair.x.values)
 
-    def test_members_differ(self):
+    def test_members_differ(self, monkeypatch):
         pair = self._pair()
-        members = list(surrogate_ensemble(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 3, 5))
-        assert not np.array_equal(members[0].x.values, members[1].x.values)
-        assert not np.array_equal(members[1].x.values, members[2].x.values)
+        xs = [m[0][0] for m in _member_inputs(monkeypatch, pair, (S3,), 3, 5)]
+        assert not np.array_equal(xs[0], xs[1])
+        assert not np.array_equal(xs[1], xs[2])
 
-    def test_sides_use_distinct_seeds(self):
+    def test_sides_use_distinct_seeds(self, monkeypatch):
         pair = make_pair(_ar1(256, 0.5, 7), _ar1(256, 0.5, 7))
-        member = next(iter(surrogate_ensemble(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 1, 9)))
+        [[(xv, yv)]] = _member_inputs(monkeypatch, pair, (S3,), 1, 9)
         # same source values, but the x and y draws must not coincide
-        assert not np.array_equal(member.x.values, member.y.values)
+        assert not np.array_equal(xv, yv)
 
-    def test_repeat_run_identical(self):
+    def test_repeat_run_identical(self, monkeypatch):
         pair = self._pair()
-        a = list(surrogate_ensemble(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 3, 5))
-        b = list(surrogate_ensemble(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 3, 5))
-        for ma, mb in zip(a, b):
-            assert np.array_equal(ma.x.values, mb.x.values)
-            assert np.array_equal(ma.y.values, mb.y.values)
+        a = _member_inputs(monkeypatch, pair, (S3,), 3, 5)
+        b = _member_inputs(monkeypatch, pair, (S3,), 3, 5)
+        for [(xa, ya)], [(xb, yb)] in zip(a, b):
+            assert np.array_equal(xa, xb)
+            assert np.array_equal(ya, yb)
+
+    def test_schemes_share_one_bank(self, monkeypatch):
+        pair = self._pair()
+        members = _member_inputs(monkeypatch, pair, (S1, S2, S3), 3, 5)
+        for k, ((x1, y1), (x2, y2), (x3, y3)) in enumerate(members):
+            assert x1 is x3 and y2 is y3
+            assert y1 is pair.y.values and x2 is pair.x.values
+            # the same bytes the per-scheme oracle builds for member k
+            ref = oracle.build_member(pair, S3, k, 5)
+            assert np.array_equal(x3, ref.x.values)
+            assert np.array_equal(y3, ref.y.values)
 
 
 class TestIntrinsicTest:
-    CFG = DmaConfig(scale_min=8, scale_max=60, n_scales=8)
-
     def test_scripted_p_extremes(self, monkeypatch):
         pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
-        calls = {"n": 0}
-
-        def fake(xv, yv, config):
-            calls["n"] += 1
-            width = 0.9  # every member wider than the original
-            spec = type("S", (), {})()
-            spec.delta_alpha = width
-            spec.h = np.zeros(3)
-            spec.tau = np.zeros(3)
-            spec.alpha = np.zeros(3)
-            spec.f_alpha = np.zeros(3)
-            return spec
-
-        monkeypatch.setattr(sg, "_pair_spectrum", fake)
-        report = intrinsic_test(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 4, 0,
-                                self.CFG, delta_alpha_original=0.1)
-        assert report.p_value == 1.0
-        report = intrinsic_test(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 4, 0,
-                                self.CFG, delta_alpha_original=2.0)
-        assert report.p_value == 0.0
+        # every member wider than the original
+        monkeypatch.setattr(sg, "_pair_spectrum",
+                            lambda xv, yv, config: _fake_spectrum(0.9))
+        reports = intrinsic_tests(pair, (S1, S2, S3), 4, 0, CFG,
+                                  delta_alpha_original=0.1)
+        assert [r.p_value for r in reports] == [1.0, 1.0, 1.0]
+        reports = intrinsic_tests(pair, (S1, S2, S3), 4, 0, CFG,
+                                  delta_alpha_original=2.0)
+        assert [r.p_value for r in reports] == [0.0, 0.0, 0.0]
 
     def test_exclusions_counted(self, monkeypatch):
         pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
@@ -123,42 +194,104 @@ class TestIntrinsicTest:
             state["k"] += 1
             if state["k"] == 2:
                 raise DegenerateSegmentError("segment 0 degenerate")
-            spec = type("S", (), {})()
-            spec.delta_alpha = 0.5
-            spec.h = np.zeros(3)
-            spec.tau = np.zeros(3)
-            spec.alpha = np.zeros(3)
-            spec.f_alpha = np.zeros(3)
-            return spec
+            return _fake_spectrum(0.5)
 
         monkeypatch.setattr(sg, "_pair_spectrum", fake)
-        report = intrinsic_test(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 4, 0,
-                                self.CFG, workers=1, delta_alpha_original=0.1)
+        [report] = intrinsic_tests(pair, (S3,), 4, 0, CFG, workers=1,
+                                   delta_alpha_original=0.1)
         assert report.excluded == 1
         assert report.n_surrogates == 3
         assert report.p_value == 1.0
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_exclusion_in_one_scheme_only(self, monkeypatch, workers):
+        pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
+        bad_y = iaaft(pair.y.values, 1000, sg._member_seed(0, 2, 1))
+
+        def fake(xv, yv, config):
+            # member 2 degenerates only where its y surrogate meets the
+            # original x, which is scheme 2
+            if xv is pair.x.values and np.array_equal(yv, bad_y):
+                raise DegenerateSegmentError("segment 0 degenerate")
+            return _fake_spectrum(0.5)
+
+        monkeypatch.setattr(sg, "_pair_spectrum", fake)
+        reports = intrinsic_tests(pair, (S1, S2, S3), 4, 0, CFG,
+                                  workers=workers, delta_alpha_original=0.1)
+        assert [r.excluded for r in reports] == [0, 1, 0]
+        assert [r.n_surrogates for r in reports] == [4, 3, 4]
+
+    def test_failed_scheme_keeps_earlier_reports(self, monkeypatch):
+        pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
+
+        def fake(xv, yv, config):
+            if xv is pair.x.values:  # scheme 2: every member degenerate
+                raise DegenerateSegmentError("segment 0 degenerate")
+            return _fake_spectrum(0.5)
+
+        monkeypatch.setattr(sg, "_pair_spectrum", fake)
+        with pytest.raises(EnsembleFailedError) as info:
+            intrinsic_tests(pair, (S1, S2, S3), 3, 0, CFG, workers=1,
+                            delta_alpha_original=0.1)
+        assert [r.scheme for r in info.value.completed] == [S1]
+
+    def test_argument_validation(self):
+        pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
+        with pytest.raises(SurrogateError):
+            intrinsic_tests(pair, (S3,), 0, 0, CFG)
+        with pytest.raises(SurrogateError):
+            intrinsic_tests(pair, (), 3, 0, CFG)
+
     def test_worker_count_does_not_change_result(self):
         pair = make_pair(_ar1(400, 0.4, 3), _ar1(400, 0.4, 4))
-        a = intrinsic_test(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 6, 77,
-                           self.CFG, workers=1)
-        b = intrinsic_test(pair, SurrogateScheme.IAAFT_X_IAAFT_Y, 6, 77,
-                           self.CFG, workers=3)
+        [a] = intrinsic_tests(pair, (S3,), 6, 77, CFG, workers=1)
+        [b] = intrinsic_tests(pair, (S3,), 6, 77, CFG, workers=3)
         assert a.p_value == b.p_value
         assert a.mean_surrogate_width == b.mean_surrogate_width
         np.testing.assert_array_equal(a.widths, b.widths)
         np.testing.assert_array_equal(a.h_mean, b.h_mean)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_shared_bank_matches_per_scheme_oracle(self, workers):
+        pair = make_pair(_ar1(400, 0.4, 13), _ar1(400, 0.4, 14))
+        reports = intrinsic_tests(pair, (1, 2, 3), 5, 31, CFG,
+                                  workers=workers)
+        assert [r.scheme for r in reports] == [S1, S2, S3]
+        for rep in reports:
+            ref = oracle.intrinsic_test(pair, rep.scheme, 5, 31, CFG)
+            for field in dataclasses.fields(rep):
+                got, want = getattr(rep, field.name), getattr(ref, field.name)
+                assert np.array_equal(got, want), (rep.scheme, field.name)
+
+    @pytest.mark.parametrize("schemes, per_member", [
+        ((S1, S2, S3), 2), ((S3,), 2), ((S1,), 1), ((S2,), 1), ((S1, S2), 2),
+    ])
+    def test_each_surrogate_built_once(self, monkeypatch, schemes, per_member):
+        pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
+        calls = {"n": 0}
+        real = sg.iaaft
+
+        def counting(*args, **kw):
+            calls["n"] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(sg, "iaaft", counting)
+        monkeypatch.setattr(sg, "_pair_spectrum",
+                            lambda xv, yv, config: _fake_spectrum(0.5))
+        n = 4
+        intrinsic_tests(pair, schemes, n, 0, CFG, workers=1,
+                        delta_alpha_original=0.1)
+        assert calls["n"] == per_member * n
+
     def test_report_invariants(self):
         pair = make_pair(_ar1(400, 0.4, 5), _ar1(400, 0.4, 6))
-        report = intrinsic_test(pair, SurrogateScheme.IAAFT_X_ORIG_Y, 5, 3,
-                                self.CFG, level=0.10)
+        [report] = intrinsic_tests(pair, (S1,), 5, 3, CFG, level=0.10)
         exceed = int(np.sum(report.widths > report.delta_alpha_original))
         assert report.p_value == exceed / report.n_surrogates
         assert 0.0 <= report.p_value <= 1.0
         assert report.n_surrogates == 5
         assert report.intrinsic_candidate == (report.p_value < 0.10)
-        assert report.h_mean.size == self.CFG.q_grid.size
+        assert report.h_mean.size == CFG.q_grid.size
 
     def test_env_worker_override(self, monkeypatch):
         monkeypatch.setenv("MFXDMA_WORKERS", "3")

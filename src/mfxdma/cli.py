@@ -272,14 +272,22 @@ def _cmd_spectrum(args) -> int:
     analysis.validate_for_length(pair.n)
     surface, hurst = dma_mod.analyze_pair(pair.x.values, pair.y.values, analysis)
     spectrum = mf.joint_spectrum(hurst)
-    tau_fit = mf.tau_nonlinearity_test(spectrum.q_grid, spectrum.tau,
-                                       config.significance_level)
+    try:
+        tau_fit = mf.tau_nonlinearity_test(spectrum.q_grid, spectrum.tau,
+                                           config.significance_level)
+    except ValueError as exc:
+        # the spectrum stands without the fit, as under analyze
+        log.error("stage tau_fit failed: %s", exc)
+        tau_fit = None
     if args.out:
         bundle = AnalysisBundle(config=config,
                                 pair_label=f"{pair.x.label}-{pair.y.label}",
                                 surface=surface, hurst=hurst,
                                 spectrum=spectrum, tau_fit=tau_fit)
         _partial_write(bundle, args.out)
+    if tau_fit is None:
+        print(f"delta_alpha={spectrum.delta_alpha:.4f} tau_fit=failed")
+        return 2
     print(f"delta_alpha={spectrum.delta_alpha:.4f} "
           f"a2={tau_fit.fit.coefficients[2]:.4f} "
           f"multifractal_flag={tau_fit.multifractal_flag}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .stats import ols_polyfit
+from .stats import _ols_core
 
 
 class DmaError(ValueError):
@@ -214,10 +214,9 @@ def hurst_curve(surface: FluctuationSurface) -> HurstCurve:
         log_f = np.log(surface.values[i])
         if not np.all(np.isfinite(log_f)):
             raise DmaError(f"non-finite log-fluctuation at q={surface.q_grid[i]}")
-        fit = ols_polyfit(log_s, log_f, degree=1)
-        h[i] = fit.coefficients[1]
-        stderr[i] = fit.std_errors[1]
-        r2[i] = fit.r_squared
+        coef, se, r2[i], _ = _ols_core(log_s, log_f, degree=1)
+        h[i] = coef[1]
+        stderr[i] = se[1]
     return HurstCurve(q_grid=surface.q_grid, h=h, stderr=stderr, r2=r2)
 
 

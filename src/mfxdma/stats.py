@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -89,12 +90,14 @@ def qcc_statistic(x: np.ndarray, y: np.ndarray, m: int) -> float:
     return float(n * n * np.sum(xc * xc * weights))
 
 
+@functools.lru_cache(maxsize=4096)
 def chi2_critical(m: int, level: float) -> float:
     """Upper-tail chi-square critical value: P[chi2_m > c] == level.
 
     Newton iteration on the regularized lower incomplete gamma, started
     from the Wilson-Hilferty cube approximation; converges to 1e-8
-    relative for m up to at least 1e4.
+    relative for m up to at least 1e4.  Memoised: every pair of a grid
+    asks for the same (m, level) values.
     """
     if m < 1:
         raise StatsError(f"degrees of freedom must be >= 1, got {m}")
@@ -154,8 +157,10 @@ def qcc_test(x: np.ndarray, y: np.ndarray, m_range: Sequence[int],
     )
 
 
-def ols_polyfit(xs: np.ndarray, ys: np.ndarray, degree: int) -> PolyFitReport:
-    """Least-squares polynomial fit with t/F diagnostics and R^2."""
+def _ols_core(xs: np.ndarray, ys: np.ndarray, degree: int
+              ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Least-squares polynomial fit: coefficients (increasing powers),
+    their standard errors, R^2 and the whole-model F statistic."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if degree < 1:
@@ -181,18 +186,23 @@ def ols_polyfit(xs: np.ndarray, ys: np.ndarray, degree: int) -> PolyFitReport:
     sigma2 = sse / dof
     cov = sigma2 * np.linalg.inv(design.T @ design)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if sse <= 1e-14 * max(sst, 1.0):
+        return coef, se, 1.0, math.inf
+    r2 = max(0.0, min(1.0, 1.0 - sse / sst)) if sst > 0.0 else 1.0
+    return coef, se, r2, (ssr / degree) / sigma2
+
+
+def ols_polyfit(xs: np.ndarray, ys: np.ndarray, degree: int) -> PolyFitReport:
+    """Least-squares polynomial fit with t/F diagnostics and R^2."""
+    coef, se, r2, f_stat = _ols_core(xs, ys, degree)
+    dof = np.size(xs) - degree - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0.0, coef / se,
                            np.sign(coef) * np.inf)
         t_pvalues = 2.0 * spstats.t.sf(np.abs(t_stats), dof)
-    if sse <= 1e-14 * max(sst, 1.0):
-        f_stat = math.inf
-        f_pvalue = 0.0
-        r2 = 1.0
-    else:
-        f_stat = (ssr / degree) / sigma2
-        f_pvalue = float(spstats.f.sf(f_stat, degree, dof))
-        r2 = max(0.0, min(1.0, 1.0 - sse / sst)) if sst > 0.0 else 1.0
+    # an exact fit has an infinite F statistic
+    f_pvalue = (0.0 if f_stat == math.inf
+                else float(spstats.f.sf(f_stat, degree, dof)))
     return PolyFitReport(
         coefficients=coef,
         std_errors=se,

@@ -94,43 +94,118 @@ def iaaft(series: np.ndarray, max_iter: int = 1000, seed: int = 0) -> np.ndarray
 
 def iaaft_with_iterations(series: np.ndarray, max_iter: int = 1000,
                           seed: int = 0) -> tuple[np.ndarray, int]:
-    x = np.asarray(series, dtype=np.float64)
-    if x.size < 8:
-        raise SurrogateError(f"need at least 8 samples, got {x.size}")
+    out, iterations = iaaft_rows(
+        np.asarray(series, dtype=np.float64).reshape(1, -1), [seed], max_iter)
+    return out[0], int(iterations[0])
+
+
+# Values (rows x n) one IAAFT batch holds.  At the paper's n=6065 that
+# is 16 rows, whose working arrays raise peak memory by about 8 MB; above
+# n=50 000 (so at n=2^16) it is one row, where a wider batch no longer
+# pays for its memory.
+_BATCH_ELEMENTS = 100_000
+
+
+def _batch_rows(n: int) -> int:
+    return max(1, _BATCH_ELEMENTS // n)
+
+
+def iaaft_rows(rows: np.ndarray, seeds, max_iter: int = 1000
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """IAAFT of each row of a (rows x n) array, with its own seed.
+
+    Row i of the result, and its iteration count, are bit-identical to
+    iaaft_with_iterations(rows[i], max_iter, seeds[i]): the rows share
+    only the FFT and sort calls, never data.  Rows run in batches of
+    _batch_rows(n).
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != len(seeds):
+        raise SurrogateError("need a (rows x n) array and one seed per row")
+    if x.shape[1] < 8:
+        raise SurrogateError(f"need at least 8 samples, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise SurrogateError("non-finite input")
     if max_iter < 1:
         raise SurrogateError("max_iter must be >= 1")
-    n = x.size
-    sorted_vals = np.sort(x)
-    target_amp = np.abs(np.fft.rfft(x))
-    rng = np.random.default_rng(seed)
-    cur = rng.permutation(x)
-    prev_order = None
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        spec = np.fft.rfft(cur)
-        mag = np.abs(spec)
-        # impose target amplitudes; keep current phases (unit phase where
-        # the current bin is empty)
-        unit = np.ones_like(spec)
-        nz = mag > 0.0
-        unit[nz] = spec[nz] / mag[nz]
-        cur = np.fft.irfft(target_amp * unit, n=n)
+    out = np.empty_like(x)
+    iterations = np.empty(x.shape[0], dtype=np.int64)
+    step = _batch_rows(x.shape[1])
+    for lo in range(0, x.shape[0], step):
+        hi = lo + step
+        _iaaft_batch(x[lo:hi], seeds[lo:hi], max_iter, out[lo:hi],
+                     iterations[lo:hi])
+    return out, iterations
+
+
+def _iaaft_batch(x: np.ndarray, seeds, max_iter: int, out: np.ndarray,
+                 iterations: np.ndarray) -> None:
+    rows, n = x.shape
+    sorted_vals = np.sort(x, axis=1)
+    target_amp = np.abs(np.fft.rfft(x, axis=1))
+    cur = np.stack([np.random.default_rng(s).permutation(r)
+                    for r, s in zip(x, seeds)])
+    iterations[:] = max_iter
+    live = np.arange(rows)  # batch row of each row still iterating
+    order = None
+    for it in range(1, max_iter + 1):
+        cur = _impose_amplitudes(cur, target_amp)
         # rank-order remap: the value of rank j goes where the j-th
         # smallest entry sits.  Two rank vectors are equal exactly when
         # their inverse permutations (the sort orders) are.
-        order = np.argsort(cur, kind="stable")
-        cur = np.empty(n)
-        cur[order] = sorted_vals
-        if prev_order is not None and np.array_equal(order, prev_order):
-            log.debug("iaaft converged in %d iterations (n=%d)", iterations, n)
-            break
-        prev_order = order
-    else:
+        prev = order
+        order = (np.argsort(cur, axis=1, kind="stable") if prev is None
+                 else _warm_order(cur, prev))
+        np.put_along_axis(cur, order, sorted_vals, axis=1)
+        if prev is None:
+            continue
+        settled = np.all(order == prev, axis=1)
+        if settled.any():
+            done = live[settled]
+            out[done] = cur[settled]
+            iterations[done] = it
+            for i in done:
+                log.debug("iaaft converged in %d iterations (n=%d, seed=%d)",
+                          it, n, seeds[i])
+            keep = ~settled
+            live, cur, order = live[keep], cur[keep], order[keep]
+            sorted_vals, target_amp = sorted_vals[keep], target_amp[keep]
+            if live.size == 0:
+                return
+    out[live] = cur
+    for i in live:
         log.warning("iaaft reached max_iter=%d without its rank order "
-                    "settling (n=%d, seed=%d)", max_iter, n, seed)
-    return cur, iterations
+                    "settling (n=%d, seed=%d)", max_iter, n, seeds[i])
+
+
+def _impose_amplitudes(cur: np.ndarray, target_amp: np.ndarray) -> np.ndarray:
+    """Each row with its target amplitudes and its current phases (unit
+    phase where the current bin is empty), back in the time domain."""
+    spec = np.fft.rfft(cur, axis=1)
+    mag = np.abs(spec)
+    np.divide(spec, mag, out=spec, where=mag > 0.0)
+    spec[mag == 0.0] = 1.0
+    np.multiply(target_amp, spec, out=spec)
+    return np.fft.irfft(spec, n=cur.shape[1], axis=1)
+
+
+def _warm_order(c: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """argsort(c, axis=1, kind="stable"), started from the last order.
+
+    Sorting c[prev], which is nearly sorted once the iteration settles,
+    takes timsort close to linear time, and prev[that order] is the
+    stable argsort of c whenever a row holds no two equal values.  Rows
+    that do (-0.0 == 0.0 included) are sorted again from scratch.
+    """
+    gathered = np.take_along_axis(c, prev, axis=1)
+    step = np.argsort(gathered, axis=1, kind="stable")
+    gathered = np.take_along_axis(gathered, step, axis=1)
+    tied = np.flatnonzero(np.any(gathered[:, 1:] == gathered[:, :-1], axis=1))
+    del gathered
+    order = np.take_along_axis(prev, step, axis=1)
+    for r in tied:
+        order[r] = np.argsort(c[r], kind="stable")
+    return order
 
 
 def _member_seed(master_seed: int, k: int, side: int) -> int:
@@ -165,11 +240,15 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
     The schemes share one surrogate bank: member k draws its x surrogate
     from seed (master_seed, k, 0) and its y surrogate from
     (master_seed, k, 1), builds each at most once, and evaluates every
-    requested scheme on it.  Members run concurrently and only the
-    members in flight hold surrogates; seeds are derived per member, so
-    the outcome does not depend on worker count.  Reports come back in
-    the order of schemes.  Pass delta_alpha_original to reuse an
-    already-computed original width.
+    requested scheme on it.  Consecutive members form chunks that fit
+    one IAAFT batch (see _batch_rows), and each task builds its chunk's
+    surrogates in one iaaft_rows call before evaluating the members one
+    by one.  Chunks run concurrently, split so that every worker gets
+    one, and only the chunks in flight hold surrogates; seeds are
+    derived per member, so the outcome depends on neither the chunking
+    nor the worker count.  Reports come back in the order of schemes.
+    Pass delta_alpha_original to reuse an already-computed original
+    width.
     """
     schemes = tuple(SurrogateScheme(s) for s in schemes)
     if not schemes:
@@ -181,31 +260,41 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
                                               analysis).delta_alpha
     if workers is None:
         workers = default_workers()
-    need_x = any(s.replaces_x for s in schemes)
-    need_y = any(s.replaces_y for s in schemes)
+    originals = (pair.x.values, pair.y.values)
+    sides = [side for side, needed in
+             enumerate((any(s.replaces_x for s in schemes),
+                        any(s.replaces_y for s in schemes))) if needed]
 
-    def member(k: int) -> list[JointSpectrumResult | None]:
-        xs = (iaaft(pair.x.values, max_iter, _member_seed(master_seed, k, 0))
-              if need_x else None)
-        ys = (iaaft(pair.y.values, max_iter, _member_seed(master_seed, k, 1))
-              if need_y else None)
-        spectra = []
-        for scheme in schemes:
-            xv = xs if scheme.replaces_x else pair.x.values
-            yv = ys if scheme.replaces_y else pair.y.values
-            try:
-                spectra.append(_pair_spectrum(xv, yv, analysis))
-            except DegenerateSegmentError as exc:
-                log.warning("surrogate member %d excluded from scheme %d: %s",
-                            k, scheme.value, exc)
-                spectra.append(None)
-        return spectra
+    def chunk(ks: range) -> list[list[JointSpectrumResult | None]]:
+        rows = np.repeat([originals[side] for side in sides], len(ks), axis=0)
+        seeds = [_member_seed(master_seed, k, side) for side in sides
+                 for k in ks]
+        bank, _ = iaaft_rows(rows, seeds, max_iter)
+        built = dict(zip(sides, np.split(bank, len(sides))))
+        results = []
+        for i, k in enumerate(ks):
+            xs, ys = (built[side][i] if side in built else None
+                      for side in (0, 1))
+            spectra = []
+            for scheme in schemes:
+                xv = xs if scheme.replaces_x else originals[0]
+                yv = ys if scheme.replaces_y else originals[1]
+                try:
+                    spectra.append(_pair_spectrum(xv, yv, analysis))
+                except DegenerateSegmentError as exc:
+                    log.warning("surrogate member %d excluded from scheme %d: "
+                                "%s", k, scheme.value, exc)
+                    spectra.append(None)
+            results.append(spectra)
+        return results
 
+    chunks = _member_chunks(n, len(sides), pair.n, workers)
     if workers == 1:
-        results = [member(k) for k in range(n)]
+        done = [chunk(ks) for ks in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(member, range(n)))
+            done = list(pool.map(chunk, chunks))
+    results = [spectra for part in done for spectra in part]
     # completion order never matters: each scheme is reduced in member order
     reports: list[SurrogateTestReport] = []
     for i, scheme in enumerate(schemes):
@@ -217,6 +306,15 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
         reports.append(_report(scheme, good, n - len(good),
                                float(delta_alpha_original), master_seed, level))
     return reports
+
+
+def _member_chunks(n: int, sides: int, length: int, workers: int) -> list[range]:
+    """Consecutive runs of members: as few as fit one IAAFT batch each,
+    but at least one per worker while members last."""
+    per_batch = max(1, _batch_rows(length) // sides)
+    count = max(-(-n // per_batch), min(workers, n))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _report(scheme: SurrogateScheme, good: list[JointSpectrumResult],

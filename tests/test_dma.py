@@ -8,6 +8,7 @@ from mfxdma.dma import (DegenerateSegmentError, DmaConfig, DmaError,
                         FluctuationSurface, analyze_pair, fluctuation_function,
                         fluctuation_surface, hurst_curve, moving_average,
                         profile, residuals, segment_fluctuations)
+from mfxdma.stats import ols_polyfit
 
 
 class TestProfile:
@@ -169,6 +170,20 @@ class TestHurstCurve:
     def test_constant_prefactor_ignored(self):
         hc = hurst_curve(self._surface(0.5, const=2.0))
         np.testing.assert_allclose(hc.h, 0.5, atol=1e-10)
+
+    def test_matches_full_polyfit_report(self):
+        # hurst_curve skips ols_polyfit's p-values; what it keeps must be
+        # the same bits
+        rng = np.random.default_rng(30)
+        z = rng.standard_normal(2048)
+        surface, hc = analyze_pair(z, rng.standard_normal(2048),
+                                   DmaConfig(scale_min=8, scale_max=400))
+        log_s = np.log(surface.scales.astype(np.float64))
+        for i, row in enumerate(surface.values):
+            fit = ols_polyfit(log_s, np.log(row), degree=1)
+            assert hc.h[i] == fit.coefficients[1]
+            assert hc.stderr[i] == fit.std_errors[1]
+            assert hc.r2[i] == fit.r_squared
 
     def test_white_noise_pair_near_half(self):
         rng = np.random.default_rng(29)

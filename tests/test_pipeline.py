@@ -277,6 +277,22 @@ class TestCli:
         assert (tmp_path / "s" / "spectrum.csv").exists()
         assert "delta_alpha=" in capsys.readouterr().out
 
+    def test_spectrum_subcommand_keeps_spectrum_when_tau_fit_fails(
+            self, tmp_path, capsys):
+        # a 3-point q grid is enough for the spectrum but too short for
+        # the quadratic fit
+        x = _fgn_csv(tmp_path, "x.csv", 600, 9)
+        y = _fgn_csv(tmp_path, "y.csv", 600, 10)
+        out = tmp_path / "s"
+        rc = cli.main(["spectrum", "--x", str(x), "--y", str(y),
+                       "--scale-min", "8", "--scale-max", "120",
+                       "--n-scales", "8", "--q-min", "0", "--q-max", "2",
+                       "--q-step", "1", "--out", str(out)])
+        assert rc == 2
+        assert len((out / "spectrum.csv").read_text().splitlines()) == 4
+        assert not (out / "tau_fit.csv").exists()
+        assert "tau_fit=failed" in capsys.readouterr().out
+
     def test_surrogate_test_subcommand(self, tmp_path, capsys):
         x = _fgn_csv(tmp_path, "x.csv", 600, 11)
         y = _fgn_csv(tmp_path, "y.csv", 600, 12)

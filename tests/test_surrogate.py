@@ -10,8 +10,8 @@ from conftest import make_pair
 from mfxdma import surrogate as sg
 from mfxdma.dma import DegenerateSegmentError, DmaConfig
 from mfxdma.surrogate import (EnsembleFailedError, SurrogateError,
-                              SurrogateScheme, iaaft, iaaft_with_iterations,
-                              intrinsic_tests)
+                              SurrogateScheme, iaaft, iaaft_rows,
+                              iaaft_with_iterations, intrinsic_tests)
 
 S1, S2, S3 = SurrogateScheme
 CFG = DmaConfig(scale_min=8, scale_max=60, n_scales=8)
@@ -106,6 +106,81 @@ class TestIaaft:
             _, iters = iaaft_with_iterations(x, max_iter=1000, seed=3)
         assert iters < 1000
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def _assert_rows_match_reference(rows, seeds, max_iter):
+    got, got_iters = iaaft_rows(rows, seeds, max_iter)
+    for row, seed, values, iters in zip(rows, seeds, got, got_iters):
+        want, want_iters = oracle.iaaft_reference(row, max_iter, seed)
+        assert iters == want_iters, seed
+        assert np.array_equal(values, want), seed
+    return got_iters
+
+
+class TestIaaftRows:
+    def test_rows_stop_at_different_iterations(self):
+        x, y = _ar1(700, 0.6, 31), _ar1(700, 0.95, 32)
+        rows = np.stack([x, y, x, y, x])
+        iters = _assert_rows_match_reference(rows, [3, 1, 4, 1, 5], 1000)
+        assert len(set(iters.tolist())) > 1
+
+    def test_unconverged_rows_next_to_converged(self, caplog):
+        x = _ar1(400, 0.7, 33)
+        seeds = [11, 12, 13, 14, 15, 16]
+        free = [oracle.iaaft_reference(x, 1000, s)[1] for s in seeds]
+        # a cap that some rows reach before their order settles
+        max_iter = sorted(free)[len(free) // 2]
+        capped = [s for s, it in zip(seeds, free) if it > max_iter]
+        assert 0 < len(capped) < len(seeds)
+        with caplog.at_level(logging.WARNING, logger="mfxdma.surrogate"):
+            _assert_rows_match_reference(np.stack([x] * len(seeds)), seeds,
+                                         max_iter)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == len(capped)
+        for seed, message in zip(capped, warnings):
+            assert f"seed={seed})" in message and f"max_iter={max_iter}" in message
+
+    def test_ties_fall_back_to_a_full_sort(self):
+        # every iterate of this tiled series holds exact ties, so the
+        # warm-started sort is redone from scratch on every row
+        tiled = np.tile(np.round(np.random.default_rng(23).standard_t(3, 150),
+                                 1), 4)
+        _assert_rows_match_reference(np.stack([tiled] * 4), [0, 1, 7, 12345],
+                                     1000)
+
+    @pytest.mark.parametrize("n", [515, 6065])
+    def test_odd_lengths(self, n):
+        x, y = _ar1(n, 0.5, 34), _ar1(n, 0.8, 35)
+        _assert_rows_match_reference(np.stack([x, y, y]), [2, 3, 4], 1000)
+
+    def test_batch_size_does_not_change_rows(self, monkeypatch):
+        rows = np.stack([_ar1(300, 0.6, 36 + i) for i in range(5)])
+        seeds = [21, 22, 23, 24, 25]
+        whole, whole_iters = iaaft_rows(rows, seeds)
+        for budget in (300, 600, 900):  # 1, 2 and 3 rows per batch
+            monkeypatch.setattr(sg, "_BATCH_ELEMENTS", budget)
+            part, part_iters = iaaft_rows(rows, seeds)
+            assert np.array_equal(part, whole)
+            assert np.array_equal(part_iters, whole_iters)
+
+    def test_warm_order_is_the_stable_argsort(self):
+        rng = np.random.default_rng(37)
+        c = rng.standard_normal((3, 50))
+        c[1, [4, 9]] = 0.0, -0.0  # a signed-zero tie
+        c[2, [5, 6, 30]] = 1.5    # a three-way tie
+        want = np.argsort(c, axis=1, kind="stable")
+        # starting from the reversed order meets every tie backwards
+        prev = np.ascontiguousarray(want[:, ::-1])
+        assert np.array_equal(sg._warm_order(c, prev), want)
+
+    def test_validation(self):
+        with pytest.raises(SurrogateError):
+            iaaft_rows(np.ones((2, 16)), [1])
+        with pytest.raises(SurrogateError):
+            iaaft_rows(np.ones(16), [1])
+        with pytest.raises(SurrogateError):
+            iaaft_rows(np.ones((1, 16)), [1], max_iter=0)
 
 
 def _member_inputs(monkeypatch, pair, schemes, n, seed):
@@ -242,6 +317,31 @@ class TestIntrinsicTest:
         with pytest.raises(SurrogateError):
             intrinsic_tests(pair, (), 3, 0, CFG)
 
+    @pytest.mark.parametrize("budget", [None, 400, 1200])
+    def test_chunking_and_workers_do_not_change_result(self, monkeypatch,
+                                                       budget):
+        pair = make_pair(_ar1(400, 0.4, 15), _ar1(400, 0.4, 16))
+        want = intrinsic_tests(pair, (1, 2, 3), 7, 41, CFG, workers=1)
+        if budget is not None:  # 1 or 3 rows per IAAFT batch
+            monkeypatch.setattr(sg, "_BATCH_ELEMENTS", budget)
+        for workers in (1, 2, 3):
+            got = intrinsic_tests(pair, (1, 2, 3), 7, 41, CFG, workers=workers)
+            for a, b in zip(got, want):
+                for field in dataclasses.fields(a):
+                    assert np.array_equal(getattr(a, field.name),
+                                          getattr(b, field.name)), field.name
+
+    @pytest.mark.parametrize("n, sides, length, workers", [
+        (6, 2, 6065, 1), (6, 2, 6065, 2), (1000, 2, 6065, 3), (10, 2, 65536, 2),
+        (3, 1, 65536, 4), (5, 1, 100, 1),
+    ])
+    def test_member_chunks(self, n, sides, length, workers):
+        chunks = sg._member_chunks(n, sides, length, workers)
+        assert [k for ks in chunks for k in ks] == list(range(n))
+        assert len(chunks) >= min(workers, n)
+        per_batch = max(1, sg._batch_rows(length) // sides)
+        assert max(len(ks) for ks in chunks) <= per_batch
+
     def test_worker_count_does_not_change_result(self):
         pair = make_pair(_ar1(400, 0.4, 3), _ar1(400, 0.4, 4))
         [a] = intrinsic_tests(pair, (S3,), 6, 77, CFG, workers=1)
@@ -268,20 +368,20 @@ class TestIntrinsicTest:
     ])
     def test_each_surrogate_built_once(self, monkeypatch, schemes, per_member):
         pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
-        calls = {"n": 0}
-        real = sg.iaaft
+        built = {"rows": 0}
+        real = sg.iaaft_rows
 
-        def counting(*args, **kw):
-            calls["n"] += 1
-            return real(*args, **kw)
+        def counting(rows, seeds, max_iter):
+            built["rows"] += len(rows)
+            return real(rows, seeds, max_iter)
 
-        monkeypatch.setattr(sg, "iaaft", counting)
+        monkeypatch.setattr(sg, "iaaft_rows", counting)
         monkeypatch.setattr(sg, "_pair_spectrum",
                             lambda xv, yv, config: _fake_spectrum(0.5))
         n = 4
         intrinsic_tests(pair, schemes, n, 0, CFG, workers=1,
                         delta_alpha_original=0.1)
-        assert calls["n"] == per_member * n
+        assert built["rows"] == per_member * n
 
     def test_report_invariants(self):
         pair = make_pair(_ar1(400, 0.4, 5), _ar1(400, 0.4, 6))

@@ -1,43 +1,16 @@
-"""Numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numeric kernels of the detrending and q-moment steps.
 
-The active backend is chosen once at import time from the MFXDMA_BACKEND
-environment variable: "numba" (require numba, fail otherwise), "numpy"
-(force the fallback), or "auto" (default: numba when importable).
-
-`benchmarks/bench_backends.py` compares the two paths on realistic sizes.
+perfbench's `probe.*` metrics time these by their names.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_CHOICE = os.environ.get("MFXDMA_BACKEND", "auto").strip().lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"MFXDMA_BACKEND must be 'auto', 'numba' or 'numpy', got {_CHOICE!r}"
-    )
 
-_have_numba = False
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _have_numba = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise RuntimeError("MFXDMA_BACKEND=numba but numba is not importable")
-
-ACTIVE_BACKEND = "numba" if _have_numba else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _window_means_numpy(z: np.ndarray, s: int) -> np.ndarray:
+def window_means(z: np.ndarray, s: int) -> np.ndarray:
     # extended-precision cumsum keeps the running-sum error below float64
     # resolution even for 1e5-point profiles
     c = np.cumsum(z, dtype=np.longdouble)
@@ -47,14 +20,14 @@ def _window_means_numpy(z: np.ndarray, s: int) -> np.ndarray:
     return np.asarray(sums / s, dtype=np.float64)
 
 
-def _segment_products_numpy(
+def segment_products(
     ex: np.ndarray, ey: np.ndarray, s: int, n_seg: int
 ) -> np.ndarray:
     prod = np.abs(ex[: n_seg * s] * ey[: n_seg * s])
     return prod.reshape(n_seg, s).mean(axis=1)
 
 
-def _q_moments_numpy(fv: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
+def q_moments(fv: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
     # log-domain power means: immune to overflow for strongly negative q on
     # near-degenerate segments
     logf = np.log(fv)
@@ -70,90 +43,3 @@ def _q_moments_numpy(fv: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
                 (m + math.log(np.exp(w - m).sum() / n_seg)) / q
             )
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (loop style; kernels release the GIL so the
-# surrogate ensemble can run on a thread pool)
-# ---------------------------------------------------------------------------
-
-if _have_numba:
-
-    @njit(cache=True, nogil=True)
-    def _window_means_numba(z, s):  # pragma: no cover - exercised via dispatch
-        n = z.size
-        out = np.empty(n - s + 1)
-        # Kahan-compensated running sum: drift stays at a few ulps no matter
-        # how long the series is
-        acc = 0.0
-        comp = 0.0
-        for i in range(s):
-            y = z[i] - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-        out[0] = acc / s
-        for w in range(1, n - s + 1):
-            y = z[w + s - 1] - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-            y = -z[w - 1] - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-            out[w] = acc / s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _segment_products_numba(ex, ey, s, n_seg):  # pragma: no cover
-        fv = np.empty(n_seg)
-        for v in range(n_seg):
-            base = v * s
-            acc = 0.0
-            for k in range(s):
-                acc += abs(ex[base + k] * ey[base + k])
-            fv[v] = acc / s
-        return fv
-
-    @njit(cache=True, nogil=True)
-    def _q_moments_numba(fv, q_grid):  # pragma: no cover
-        n_seg = fv.size
-        logf = np.empty(n_seg)
-        mean_log = 0.0
-        for v in range(n_seg):
-            logf[v] = math.log(fv[v])
-            mean_log += logf[v]
-        mean_log /= n_seg
-        out = np.empty(q_grid.size)
-        for i in range(q_grid.size):
-            q = q_grid[i]
-            if q == 0.0:
-                out[i] = math.exp(0.5 * mean_log)
-            else:
-                m = -1e308
-                for v in range(n_seg):
-                    w = 0.5 * q * logf[v]
-                    if w > m:
-                        m = w
-                acc = 0.0
-                for v in range(n_seg):
-                    acc += math.exp(0.5 * q * logf[v] - m)
-                out[i] = math.exp((m + math.log(acc / n_seg)) / q)
-        return out
-
-    window_means = _window_means_numba
-    segment_products = _segment_products_numba
-    q_moments = _q_moments_numba
-else:
-    window_means = _window_means_numpy
-    segment_products = _segment_products_numpy
-    q_moments = _q_moments_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the hot kernels on tiny inputs."""
-    z = np.arange(12.0)
-    m = window_means(z, 3)
-    fv = segment_products(z[:10] - m[:10], z[:10] - m[:10], 5, 2)
-    q_moments(np.maximum(fv, 1e-12), np.array([-2.0, 0.0, 2.0]))

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: analyze (full pipeline), qcc, spectrum, surrogate-test
-(single stages), synth (oracle series generators).  Exit codes: 0 on
-success, 1 on validation/usage errors, 2 when an analysis stage fails
-at runtime.
+Subcommands: analyze (every stage), qcc (the qcc stage), spectrum (the
+spectrum and tau_fit stages), surrogate-test (the spectrum and
+surrogates stages), synth (oracle series generators).  Each of the
+first four runs its stages through pipeline.run_analysis; analyze
+always writes its outputs, the others only with --out, and a written
+bundle always holds provenance.json.  Exit codes, under every
+subcommand: 0 on success, 1 for anything raised before any stage runs
+(usage, input or config errors), 2 when a stage fails.
 """
 
 from __future__ import annotations
@@ -17,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, pipeline, series, stats, synth
-from .dma import DegenerateSegmentError
+from . import __version__, pipeline, series, synth
 from .pipeline import AnalysisBundle, PipelineError, RunConfig
-from .surrogate import EnsembleFailedError, SurrogateScheme
+from .surrogate import SurrogateScheme
 
 log = logging.getLogger(__name__)
 
@@ -159,14 +162,15 @@ def build_parser() -> _Parser:
     pq = sub.add_parser("qcc", help="cross-correlation significance only")
     _add_input_flags(pq)
     pq.add_argument("--out", default=None, metavar="DIR")
-    pq.add_argument("--m-max", type=int, default=1000)
-    pq.add_argument("--level", type=float, default=0.05)
+    pq.add_argument("--m-max", dest="qcc_m_max", type=int, default=None,
+                    help="largest lag depth (default 1000)")
+    pq.add_argument("--level", type=float, default=None)
 
     ps = sub.add_parser("spectrum", help="scaling analysis only")
     _add_input_flags(ps)
     _add_dma_flags(ps)
     ps.add_argument("--out", default=None, metavar="DIR")
-    ps.add_argument("--level", type=float, default=0.05)
+    ps.add_argument("--level", type=float, default=None)
 
     pt = sub.add_parser("surrogate-test", help="surrogate ensembles only")
     _add_input_flags(pt)
@@ -233,93 +237,62 @@ def _merged_config(args, need_seed: bool) -> RunConfig:
     return RunConfig(**overrides)
 
 
-def _cmd_analyze(args) -> int:
-    config = _merged_config(args, need_seed=True)
-    bundle = pipeline.run_analysis(config)
-    print(f"wrote {config.out_dir} ({bundle.pair_label})")
+def _failed_stages(bundle: AnalysisBundle) -> str:
+    return " ".join(f"{s.name}=failed" for s in bundle.stages if not s.ok)
+
+
+def _report_analyze(bundle: AnalysisBundle) -> str:
+    return f"wrote {bundle.config.out_dir} ({bundle.pair_label})"
+
+
+def _report_qcc(bundle: AnalysisBundle) -> str:
+    r = bundle.qcc
+    if r is None:
+        return _failed_stages(bundle)
+    return (f"qcc: {int(np.sum(r.reject))}/{r.m_values.size} lag depths "
+            f"significant at level {r.significance_level}")
+
+
+def _report_spectrum(bundle: AnalysisBundle) -> str:
+    sp, fit = bundle.spectrum, bundle.tau_fit
+    if fit is None:
+        head = "" if sp is None else f"delta_alpha={sp.delta_alpha:.4f} "
+        return head + _failed_stages(bundle)
+    return (f"delta_alpha={sp.delta_alpha:.4f} "
+            f"a2={fit.fit.coefficients[2]:.4f} "
+            f"multifractal_flag={fit.multifractal_flag}")
+
+
+def _report_surrogates(bundle: AnalysisBundle) -> str:
+    lines = [f"scheme {rep.scheme.value} ({rep.scheme.name}): "
+             f"p={rep.p_value:.4f} mean={rep.mean_surrogate_width:.4f} "
+             f"n={rep.n_surrogates}" for rep in bundle.surrogate_tests]
+    if not bundle.complete:
+        lines.append(_failed_stages(bundle))
+    return "\n".join(lines)
+
+
+# subcommand -> (the stages of run_analysis it runs, its printout)
+_STAGE_COMMANDS = {
+    "analyze": (pipeline.ALL_STAGES, _report_analyze),
+    "qcc": (("qcc",), _report_qcc),
+    "spectrum": (("spectrum", "tau_fit"), _report_spectrum),
+    "surrogate-test": (("spectrum", "surrogates"), _report_surrogates),
+}
+
+
+def _cmd_stages(args) -> int:
+    stages, report = _STAGE_COMMANDS[args.command]
+    config = _merged_config(args, need_seed="surrogates" in stages)
+    # analyze skips its ensembles at --surrogates 0; surrogate-test would
+    # have nothing to run
+    if args.command == "surrogate-test" and config.n_surrogates < 1:
+        raise _UsageError("surrogate-test needs --surrogates >= 1")
+    # analyze always writes (to mfxdma-out by default), the others only with --out
+    write = args.command == "analyze" or args.out is not None
+    bundle = pipeline.run_analysis(config, write=write, stages=stages)
+    print(report(bundle))
     return 0 if bundle.complete else 2
-
-
-def _partial_write(bundle: AnalysisBundle, out_dir: str) -> None:
-    out = Path(out_dir)
-    pipeline.write_bundle(bundle, out)
-    pipeline.emit_plot_data(bundle, out / "figdata")
-
-
-def _cmd_qcc(args) -> int:
-    config = _merged_config(args, need_seed=False)
-    pair = pipeline.load_pair(config)
-    m_max = min(args.m_max, pair.n - 1)
-    report = stats.qcc_test(pair.x.values, pair.y.values,
-                            range(1, m_max + 1), args.level)
-    n_rej = int(np.sum(report.reject))
-    if args.out:
-        bundle = AnalysisBundle(config=config,
-                                pair_label=f"{pair.x.label}-{pair.y.label}",
-                                qcc=report)
-        _partial_write(bundle, args.out)
-    print(f"qcc: {n_rej}/{report.m_values.size} lag depths significant "
-          f"at level {args.level}")
-    return 0
-
-
-def _cmd_spectrum(args) -> int:
-    from . import dma as dma_mod, multifractal as mf
-
-    config = _merged_config(args, need_seed=False)
-    pair = pipeline.load_pair(config)
-    analysis = config.dma_config()
-    analysis.validate_for_length(pair.n)
-    surface, hurst = dma_mod.analyze_pair(pair.x.values, pair.y.values, analysis)
-    spectrum = mf.joint_spectrum(hurst)
-    try:
-        tau_fit = mf.tau_nonlinearity_test(spectrum.q_grid, spectrum.tau,
-                                           config.significance_level)
-    except ValueError as exc:
-        # the spectrum stands without the fit, as under analyze
-        log.error("stage tau_fit failed: %s", exc)
-        tau_fit = None
-    if args.out:
-        bundle = AnalysisBundle(config=config,
-                                pair_label=f"{pair.x.label}-{pair.y.label}",
-                                surface=surface, hurst=hurst,
-                                spectrum=spectrum, tau_fit=tau_fit)
-        _partial_write(bundle, args.out)
-    if tau_fit is None:
-        print(f"delta_alpha={spectrum.delta_alpha:.4f} tau_fit=failed")
-        return 2
-    print(f"delta_alpha={spectrum.delta_alpha:.4f} "
-          f"a2={tau_fit.fit.coefficients[2]:.4f} "
-          f"multifractal_flag={tau_fit.multifractal_flag}")
-    return 0
-
-
-def _cmd_surrogate_test(args) -> int:
-    from . import dma as dma_mod, multifractal as mf, surrogate as sg
-
-    config = _merged_config(args, need_seed=True)
-    pair = pipeline.load_pair(config)
-    analysis = config.dma_config()
-    analysis.validate_for_length(pair.n)
-    _, hurst = dma_mod.analyze_pair(pair.x.values, pair.y.values, analysis)
-    spectrum = mf.joint_spectrum(hurst)
-    tests = sg.intrinsic_tests(pair, config.schemes, config.n_surrogates,
-                               config.master_seed, analysis,
-                               level=config.significance_level,
-                               max_iter=config.iaaft_max_iter,
-                               workers=config.workers,
-                               delta_alpha_original=spectrum.delta_alpha)
-    for rep in tests:
-        print(f"scheme {rep.scheme.value} ({rep.scheme.name}): "
-              f"p={rep.p_value:.4f} mean={rep.mean_surrogate_width:.4f} "
-              f"n={rep.n_surrogates}")
-    if args.out:
-        bundle = AnalysisBundle(config=config,
-                                pair_label=f"{pair.x.label}-{pair.y.label}",
-                                spectrum=spectrum, hurst=hurst,
-                                surrogate_tests=tests)
-        _partial_write(bundle, args.out)
-    return 0
 
 
 def _write_level_csv(path: str, increments: np.ndarray, scale: float,
@@ -359,13 +332,8 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "qcc": _cmd_qcc,
-    "spectrum": _cmd_spectrum,
-    "surrogate-test": _cmd_surrogate_test,
-    "synth": _cmd_synth,
-}
+_COMMANDS = {**{name: _cmd_stages for name in _STAGE_COMMANDS},
+             "synth": _cmd_synth}
 
 
 def main(argv=None) -> int:
@@ -383,14 +351,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except _UsageError:
         return 1
-    except (DegenerateSegmentError, EnsembleFailedError) as exc:
-        # ValueErrors that come out of a stage's numbers, not its inputs
-        log.error("stage failed: %s", exc)
-        return 2
     except (series.SeriesError, PipelineError, ValueError) as exc:
+        # bad input or config, raised before any stage runs
         log.error("%s", exc)
         return 1
-    except Exception as exc:  # runtime failure inside a stage
+    except Exception as exc:  # the run itself broke, say writing outputs
         log.error("run failed: %s", exc)
         return 2
 

@@ -169,21 +169,6 @@ def segment_fluctuations(x_det: np.ndarray, y_det: np.ndarray, s: int,
     return _accel.segment_products(ex, ey, s, n_seg)
 
 
-def fluctuation_function(fvs: np.ndarray, q: float) -> float:
-    """Collapse segment fluctuations into the order-q overall value."""
-    fvs = np.asarray(fvs, dtype=np.float64)
-    if fvs.size == 0:
-        raise DmaError("no segments")
-    zeros = np.nonzero(fvs == 0.0)[0]
-    if zeros.size and q <= 0:
-        raise DegenerateSegmentError(
-            f"segment {zeros[0]} has zero fluctuation; q={q} moment undefined"
-        )
-    if q == 0:
-        return float(np.exp(np.log(fvs).sum() / (2.0 * fvs.size)))
-    return float(np.mean(fvs ** (q / 2.0)) ** (1.0 / q))
-
-
 def fluctuation_surface(x_det: np.ndarray, y_det: np.ndarray,
                         config: DmaConfig) -> FluctuationSurface:
     """F_xy(q,s) for detrendable inputs (profiles already applied)."""

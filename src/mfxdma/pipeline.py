@@ -1,9 +1,10 @@
 """End-to-end batch orchestration and report emission.
 
-A run executes, in order: the lagged cross-correlation significance
-test, the joint scaling analysis, the quadratic mass-exponent fit, and
-the per-scheme surrogate ensembles.  Each stage failure is recorded and
-kills only that stage; everything that completed is still serialized.
+A run executes, in order, the stages it selects from: the lagged
+cross-correlation significance test, the joint scaling analysis, the
+quadratic mass-exponent fit, and the per-scheme surrogate ensembles.
+Each stage failure is recorded and kills only that stage; everything
+that completed is still serialized.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _accel, dma, multifractal, series, stats, surrogate
+from . import __version__, dma, multifractal, series, stats, surrogate
 from .dma import DmaConfig, FluctuationSurface, HurstCurve
 from .multifractal import JointSpectrumResult, TauNonlinearityReport
 from .series import AlignedPair
@@ -27,6 +28,9 @@ from .surrogate import SurrogateScheme, SurrogateTestReport
 log = logging.getLogger(__name__)
 
 REPORT_LEVELS = (0.05, 0.10)
+
+# every stage of a run, in the order they run; a run selects a subset
+ALL_STAGES = ("qcc", "spectrum", "tau_fit", "surrogates")
 
 
 class PipelineError(ValueError):
@@ -133,16 +137,33 @@ def _standardized(rs: series.ReturnSeries) -> series.ReturnSeries:
                                values=(v - v.mean()) / sd)
 
 
-def run_analysis(config: RunConfig, write: bool = True) -> AnalysisBundle:
-    """Execute all stages and serialize reports under config.out_dir."""
+def run_analysis(config: RunConfig, write: bool = True,
+                 stages: tuple[str, ...] = ALL_STAGES) -> AnalysisBundle:
+    """Execute the selected stages and serialize reports under config.out_dir.
+
+    Stages run in the order of ALL_STAGES, whatever the order asked.  Bad
+    input or config raises before any stage runs; a stage that raises is
+    recorded in the bundle and the run goes on.  The surrogate stage is
+    skipped when config.n_surrogates is 0, and the DMA config is built
+    and checked against the series length only when "spectrum" is
+    selected.
+    """
     started = time.time()
+    for name in stages:
+        if name not in ALL_STAGES:
+            raise PipelineError(f"unknown stage {name!r}; "
+                                f"choose from {', '.join(ALL_STAGES)}")
     pair = load_pair(config)  # input problems are fatal, not a stage failure
-    analysis = config.dma_config()
-    analysis.validate_for_length(pair.n)
+    analysis = None
+    if "spectrum" in stages:
+        analysis = config.dma_config()
+        analysis.validate_for_length(pair.n)
     bundle = AnalysisBundle(config=config,
                             pair_label=f"{pair.x.label}-{pair.y.label}")
 
     def stage(name, fn):
+        if name not in stages:
+            return
         t0 = time.time()
         try:
             fn()
@@ -407,7 +428,6 @@ def write_provenance(bundle: AnalysisBundle, out: Path,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "wall_seconds": wall_seconds,
             "stage_seconds": {s.name: s.seconds for s in bundle.stages},
-            "backend": _accel.ACTIVE_BACKEND,
             "workers": bundle.config.workers or surrogate.default_workers(),
             "out_dir": str(out),
         },

@@ -94,40 +94,13 @@ def qcc_statistic(x: np.ndarray, y: np.ndarray, m: int) -> float:
 def chi2_critical(m: int, level: float) -> float:
     """Upper-tail chi-square critical value: P[chi2_m > c] == level.
 
-    Newton iteration on the regularized lower incomplete gamma, started
-    from the Wilson-Hilferty cube approximation; converges to 1e-8
-    relative for m up to at least 1e4.  Memoised: every pair of a grid
-    asks for the same (m, level) values.
+    Memoised: every pair of a grid asks for the same (m, level) values.
     """
     if m < 1:
         raise StatsError(f"degrees of freedom must be >= 1, got {m}")
     if not (0.0 < level < 1.0):
         raise StatsError(f"level must be in (0,1), got {level}")
-    a = 0.5 * m
-    target = 1.0 - level
-    z = special.ndtri(target)
-    t = 2.0 / (9.0 * m)
-    c = m * (1.0 - t + z * math.sqrt(t)) ** 3
-    if c <= 0.0:
-        c = m * 1e-3
-    log_norm = a * math.log(2.0) + special.gammaln(a)
-    lo, hi = 0.0, math.inf
-    for _ in range(100):
-        f = special.gammainc(a, 0.5 * c) - target
-        if f > 0.0:
-            hi = c
-        else:
-            lo = c
-        logpdf = (a - 1.0) * math.log(c) - 0.5 * c - log_norm
-        step = f / math.exp(logpdf)
-        nxt = c - step
-        if not (lo < nxt < hi):
-            # Newton left the bracket; bisect toward the root instead
-            nxt = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * c
-        if abs(nxt - c) <= 1e-10 * c:
-            return nxt
-        c = nxt
-    raise StatsError(f"critical-value iteration failed for m={m}, level={level}")
+    return float(special.chdtri(m, level))
 
 
 def qcc_test(x: np.ndarray, y: np.ndarray, m_range: Sequence[int],

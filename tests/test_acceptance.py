@@ -136,16 +136,17 @@ def test_fluctuation_equals_brute_force():
         yv = rng.standard_normal(64)
         zx, zy = dma.profile(xv), dma.profile(yv)
         bx, by = _brute_profile(xv.tolist()), _brute_profile(yv.tolist())
+        config = dma.DmaConfig(scale_min=8, scale_max=16, n_scales=4,
+                               q_grid=np.array([-2.0, 0.0, 2.0]))
+        surface = dma.fluctuation_surface(zx, zy, config)
         worst = 0.0
-        for s in (8, 16):
-            fvs = dma.segment_fluctuations(zx, zy, s, 0.0)
-            for q in (-2.0, 0.0, 2.0):
-                lib = dma.fluctuation_function(fvs, q)
-                ref = _brute_fluctuation(bx, by, s, q)
-                worst = max(worst, abs(lib - ref) / abs(ref))
+        for j, s in enumerate(surface.scales):
+            for i, q in enumerate(surface.q_grid):
+                ref = _brute_fluctuation(bx, by, int(s), q)
+                worst = max(worst, abs(surface.values[i, j] - ref) / abs(ref))
         record(worst < 1e-10,
-               f"max relative difference {worst:.2e} over s in (8,16), "
-               f"q in (-2,0,2) (tol 1e-10)")
+               f"max relative difference {worst:.2e} over s in "
+               f"{tuple(surface.scales.tolist())}, q in (-2,0,2) (tol 1e-10)")
 
 
 def test_qcc_calibration_and_chi2_oracle():

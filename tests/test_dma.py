@@ -5,9 +5,9 @@ import pytest
 
 from mfxdma import _accel
 from mfxdma.dma import (DegenerateSegmentError, DmaConfig, DmaError,
-                        FluctuationSurface, analyze_pair, fluctuation_function,
-                        fluctuation_surface, hurst_curve, moving_average,
-                        profile, residuals, segment_fluctuations)
+                        FluctuationSurface, analyze_pair, fluctuation_surface,
+                        hurst_curve, moving_average, profile, residuals,
+                        segment_fluctuations)
 from mfxdma.stats import ols_polyfit
 
 
@@ -87,6 +87,11 @@ def _brute_fvs(x_det, y_det, s, theta):
     ]
 
 
+# scales 4, 5, 6, 8
+_SMALL_GRID = DmaConfig(scale_min=4, scale_max=8, n_scales=4,
+                        q_grid=np.array([-2.0, 0.0, 2.0]))
+
+
 class TestSegmentFluctuations:
     def test_self_pair_reduces_to_squared_residuals(self):
         rng = np.random.default_rng(3)
@@ -102,7 +107,7 @@ class TestSegmentFluctuations:
         fvs = segment_fluctuations(z, z, 5, 0.0)
         assert np.all(fvs == 0.0)
         with pytest.raises(DegenerateSegmentError):
-            fluctuation_function(fvs, -1.0)
+            fluctuation_surface(z, z, _SMALL_GRID)
 
     def test_small_instance_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -135,24 +140,28 @@ class TestSegmentFluctuations:
 class TestFluctuationFunction:
     def test_constant_segments(self):
         fvs = np.full(12, 9.0)
-        for q in (-3.0, -0.5, 0.0, 1.0, 2.0, 4.0):
-            assert fluctuation_function(fvs, q) == pytest.approx(3.0, rel=1e-12)
+        q = np.array([-3.0, -0.5, 0.0, 1.0, 2.0, 4.0])
+        np.testing.assert_allclose(_accel.q_moments(fvs, q), 3.0, rtol=1e-12)
 
     def test_q2_is_rms(self):
         fvs = np.array([1.0, 2.0, 3.0, 4.0])
-        assert fluctuation_function(fvs, 2.0) == pytest.approx(
+        assert _accel.q_moments(fvs, np.array([2.0]))[0] == pytest.approx(
             math.sqrt(fvs.mean()), rel=1e-12)
 
     def test_q0_hand_value(self):
-        assert fluctuation_function(np.array([1.0, 4.0]), 0.0) == pytest.approx(
+        assert _accel.q_moments(np.array([1.0, 4.0]),
+                                np.array([0.0]))[0] == pytest.approx(
             math.sqrt(2.0), rel=1e-12)
 
     def test_degenerate_names_segment(self):
-        fvs = np.array([1.0, 0.0, 2.0])
-        with pytest.raises(DegenerateSegmentError, match="segment 1"):
-            fluctuation_function(fvs, 0.0)
-        # positive q tolerates zero segments
-        assert fluctuation_function(fvs, 2.0) == pytest.approx(1.0)
+        # a flat stretch of one profile zeroes the second segment at s=4
+        rng = np.random.default_rng(19)
+        x = np.cumsum(rng.standard_normal(40))
+        x[4:11] = x[4]
+        y = np.cumsum(rng.standard_normal(40))
+        with pytest.raises(DegenerateSegmentError,
+                           match="segment 1 at scale 4"):
+            fluctuation_surface(x, y, _SMALL_GRID)
 
 
 class TestHurstCurve:
@@ -242,17 +251,6 @@ class TestSurfaceInvariants:
         scaled, hc_scaled = analyze_pair(2.5 * x, 2.5 * y, cfg)
         np.testing.assert_allclose(scaled.values, 2.5 * base.values, rtol=1e-9)
         np.testing.assert_allclose(hc_scaled.h, hc_base.h, atol=1e-12)
-
-    def test_backend_paths_agree(self):
-        rng = np.random.default_rng(33)
-        z = np.cumsum(rng.standard_normal(3000))
-        means_fast = _accel.window_means(z, 47)
-        means_ref = _accel._window_means_numpy(z, 47)
-        np.testing.assert_allclose(means_fast, means_ref, atol=1e-12)
-        fv = np.abs(rng.standard_normal(25)) + 1e-10
-        q = np.array([-4.0, -1.0, 0.0, 1.0, 4.0])
-        np.testing.assert_allclose(_accel.q_moments(fv, q),
-                                   _accel._q_moments_numpy(fv, q), rtol=1e-12)
 
 
 class TestAnalyzePair:

@@ -136,6 +136,21 @@ class TestRunAnalysis:
         assert bundle.tau_fit is None and bundle.spectrum is not None
         assert "points" in bundle.stages[2].error
 
+    def test_stage_selection(self, tmp_path):
+        # 500 returns: the default scale_max 316 exceeds N/4, which only
+        # a run that detrends checks
+        config = _config(tmp_path,
+                         input_x=str(_fgn_csv(tmp_path, "x500.csv", 500, 100)),
+                         input_y=str(_fgn_csv(tmp_path, "y500.csv", 500, 101)),
+                         scale_max=316, n_surrogates=2)
+        bundle = run_analysis(config, write=False, stages=("qcc",))
+        assert [s.name for s in bundle.stages] == ["qcc"]
+        assert bundle.qcc is not None and bundle.spectrum is None
+        with pytest.raises(dma.DmaError, match="N/4"):
+            run_analysis(config, write=False, stages=("qcc", "spectrum"))
+        with pytest.raises(PipelineError, match="unknown stage 'hurst'"):
+            run_analysis(config, write=False, stages=("qcc", "hurst"))
+
     def test_standardize(self, tmp_path):
         config = _config(tmp_path, standardize=True)
         pair = pipeline.load_pair(config)
@@ -350,6 +365,38 @@ class TestCli:
                          "--seed", "2", "--surrogates", "0",
                          "--scale-min", "8", "--scale-max", "120",
                          "--n-scales", "8"]) == 1
+
+    def test_zero_variance_qcc_exits_2(self, tmp_path, capsys):
+        # a constant level has only zero returns, which the qcc stage
+        # rejects at run time, as it does under analyze
+        x = str(write_series_csv(tmp_path / "x.csv", np.full(601, 3.0)))
+        y = str(_fgn_csv(tmp_path, "y.csv", 600, 15))
+        assert cli.main(["qcc", "--x", x, "--y", y, "--m-max", "20"]) == 2
+        assert "qcc=failed" in capsys.readouterr().out
+        assert cli.main(["analyze", "--x", x, "--y", y, "--surrogates", "0",
+                         "--qcc-m-max", "20", "--scale-max", "100",
+                         "--out", str(tmp_path / "a")]) == 2
+
+    @pytest.mark.parametrize("argv, stages", [
+        (["qcc"], ["qcc"]),
+        (["spectrum", "--scale-min", "8", "--scale-max", "120",
+          "--n-scales", "8"], ["spectrum", "tau_fit"]),
+        (["surrogate-test", "--seed", "2", "--surrogates", "2",
+          "--schemes", "3", "--scale-min", "8", "--scale-max", "120",
+          "--n-scales", "8"], ["spectrum", "surrogates"]),
+    ])
+    def test_single_stage_runs_write_provenance(self, tmp_path, capsys,
+                                                argv, stages):
+        # 500 returns: qcc keeps the default scale_max 316 > N/4, which
+        # only the stages that detrend check
+        x = _fgn_csv(tmp_path, "x.csv", 500, 7)
+        y = _fgn_csv(tmp_path, "y.csv", 500, 8)
+        out = tmp_path / "o"
+        assert cli.main([argv[0], "--x", str(x), "--y", str(y), *argv[1:],
+                         "--out", str(out)]) == 0
+        prov = json.loads((out / "provenance.json").read_text())
+        assert [s["name"] for s in prov["stages"]] == stages
+        assert all(s["ok"] for s in prov["stages"])
 
     def test_synth_fgn_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "g.csv"

@@ -115,8 +115,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x", metavar="CSV", help="first input series")
-    p.add_argument("--y", metavar="CSV", help="second input series")
+    p.add_argument("--x", dest="input_x", metavar="CSV",
+                   help="first input series")
+    p.add_argument("--y", dest="input_y", metavar="CSV",
+                   help="second input series")
     p.add_argument("--date-column", default=None)
     p.add_argument("--value-column", default=None)
     p.add_argument("--standardize", action="store_const", const=True,
@@ -146,40 +148,46 @@ def build_parser() -> _Parser:
     pa = sub.add_parser("analyze", help="full pipeline on one pair")
     _add_input_flags(pa)
     _add_dma_flags(pa)
-    pa.add_argument("--out", default=None, metavar="DIR")
-    pa.add_argument("--seed", type=int, default=None)
+    pa.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
+    pa.add_argument("--seed", dest="master_seed", type=int, default=None)
     pa.add_argument("--config", default=None, metavar="FILE",
                     help="key=value or JSON file overriding defaults")
-    pa.add_argument("--surrogates", type=int, default=None,
+    pa.add_argument("--surrogates", dest="n_surrogates", type=int,
+                    default=None,
                     help="ensemble size per scheme (default 1000; 0 skips)")
-    pa.add_argument("--schemes", default=None,
+    pa.add_argument("--schemes", type=_parse_schemes, default=None,
                     help="comma list of 1,2,3 or names (default all)")
-    pa.add_argument("--level", type=float, default=None)
+    pa.add_argument("--level", dest="significance_level", type=float,
+                    default=None)
     pa.add_argument("--qcc-m-max", type=int, default=None)
     pa.add_argument("--iaaft-max-iter", type=int, default=None)
     pa.add_argument("--workers", type=int, default=None)
 
     pq = sub.add_parser("qcc", help="cross-correlation significance only")
     _add_input_flags(pq)
-    pq.add_argument("--out", default=None, metavar="DIR")
+    pq.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
     pq.add_argument("--m-max", dest="qcc_m_max", type=int, default=None,
                     help="largest lag depth (default 1000)")
-    pq.add_argument("--level", type=float, default=None)
+    pq.add_argument("--level", dest="significance_level", type=float,
+                    default=None)
 
     ps = sub.add_parser("spectrum", help="scaling analysis only")
     _add_input_flags(ps)
     _add_dma_flags(ps)
-    ps.add_argument("--out", default=None, metavar="DIR")
-    ps.add_argument("--level", type=float, default=None)
+    ps.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
+    ps.add_argument("--level", dest="significance_level", type=float,
+                    default=None)
 
     pt = sub.add_parser("surrogate-test", help="surrogate ensembles only")
     _add_input_flags(pt)
     _add_dma_flags(pt)
-    pt.add_argument("--out", default=None, metavar="DIR")
-    pt.add_argument("--seed", type=int, default=None)
-    pt.add_argument("--surrogates", type=int, default=None)
-    pt.add_argument("--schemes", default=None)
-    pt.add_argument("--level", type=float, default=None)
+    pt.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
+    pt.add_argument("--seed", dest="master_seed", type=int, default=None)
+    pt.add_argument("--surrogates", dest="n_surrogates", type=int,
+                    default=None)
+    pt.add_argument("--schemes", type=_parse_schemes, default=None)
+    pt.add_argument("--level", dest="significance_level", type=float,
+                    default=None)
     pt.add_argument("--iaaft-max-iter", type=int, default=None)
     pt.add_argument("--workers", type=int, default=None)
 
@@ -208,23 +216,11 @@ def _merged_config(args, need_seed: bool) -> RunConfig:
     overrides: dict = {}
     if getattr(args, "config", None):
         overrides.update(_load_config_file(args.config))
-    flag_map = {
-        "x": "input_x", "y": "input_y", "out": "out_dir", "seed": "master_seed",
-        "surrogates": "n_surrogates", "level": "significance_level",
-        "qcc_m_max": "qcc_m_max", "theta": "theta",
-        "q_min": "q_min", "q_max": "q_max", "q_step": "q_step",
-        "scale_min": "scale_min", "scale_max": "scale_max",
-        "n_scales": "n_scales", "use_profile": "use_profile",
-        "standardize": "standardize", "date_column": "date_column",
-        "value_column": "value_column", "iaaft_max_iter": "iaaft_max_iter",
-        "workers": "workers",
-    }
-    for flag, field in flag_map.items():
-        value = getattr(args, flag, None)
+    # every flag's dest is the name of the RunConfig field it sets
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[field] = value
-    if getattr(args, "schemes", None) is not None:
-        overrides["schemes"] = _parse_schemes(args.schemes)
+            overrides[f.name] = value
     for required in ("input_x", "input_y"):
         if not overrides.get(required):
             raise _UsageError(f"missing input series ({required.replace('input_', '--')})")
@@ -232,8 +228,6 @@ def _merged_config(args, need_seed: bool) -> RunConfig:
         if need_seed and overrides.get("n_surrogates", 1000) > 0:
             raise _UsageError("--seed is required when surrogates are generated")
         overrides["master_seed"] = 0
-    valid = {f.name for f in dataclasses.fields(RunConfig)}
-    overrides = {k: v for k, v in overrides.items() if k in valid}
     return RunConfig(**overrides)
 
 
@@ -289,7 +283,7 @@ def _cmd_stages(args) -> int:
     if args.command == "surrogate-test" and config.n_surrogates < 1:
         raise _UsageError("surrogate-test needs --surrogates >= 1")
     # analyze always writes (to mfxdma-out by default), the others only with --out
-    write = args.command == "analyze" or args.out is not None
+    write = args.command == "analyze" or args.out_dir is not None
     bundle = pipeline.run_analysis(config, write=write, stages=stages)
     print(report(bundle))
     return 0 if bundle.complete else 2

@@ -116,28 +116,6 @@ def _window_split(s: int, theta: float) -> tuple[int, int]:
     return back, fwd
 
 
-def moving_average(z: np.ndarray, s: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding mean of width s positioned by theta.
-
-    Returns (values, valid): values has the input length with NaN where
-    the window would cross the series bounds, valid is the boolean mask
-    of usable positions.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    n = z.size
-    if not (1 <= s <= n):
-        raise DmaError(f"window size must be in [1, {n}], got {s}")
-    if not (0.0 <= theta <= 1.0):
-        raise DmaError(f"theta must lie in [0,1], got {theta}")
-    back, fwd = _window_split(s, theta)
-    means = _accel.window_means(z, s)
-    out = np.full(n, np.nan)
-    out[back : n - fwd] = means
-    valid = np.zeros(n, dtype=bool)
-    valid[back : n - fwd] = True
-    return out, valid
-
-
 def residuals(z: np.ndarray, s: int, theta: float) -> np.ndarray:
     """Detrending residuals on the valid window range (length N-s+1)."""
     z = np.asarray(z, dtype=np.float64)

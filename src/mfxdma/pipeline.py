@@ -65,6 +65,21 @@ class RunConfig:
     value_column: str = "value"
     workers: int | None = None
 
+    def __post_init__(self):
+        if self.workers is not None and self.workers < 1:
+            raise PipelineError(f"workers must be >= 1, got {self.workers}")
+        if self.n_surrogates < 0:
+            raise PipelineError(
+                f"n_surrogates must be >= 0, got {self.n_surrogates}")
+        if self.iaaft_max_iter < 1:
+            raise PipelineError(
+                f"iaaft_max_iter must be >= 1, got {self.iaaft_max_iter}")
+        if self.qcc_m_max < 1:
+            raise PipelineError(f"qcc_m_max must be >= 1, got {self.qcc_m_max}")
+        if not (0.0 < self.significance_level < 1.0):
+            raise PipelineError("significance_level must lie in (0, 1), got "
+                                f"{self.significance_level}")
+
     def q_grid(self) -> np.ndarray:
         if self.q_step <= 0:
             raise PipelineError(f"q_step must be positive, got {self.q_step}")
@@ -153,6 +168,7 @@ def run_analysis(config: RunConfig, write: bool = True,
         if name not in ALL_STAGES:
             raise PipelineError(f"unknown stage {name!r}; "
                                 f"choose from {', '.join(ALL_STAGES)}")
+    workers = config.workers or surrogate.default_workers()
     pair = load_pair(config)  # input problems are fatal, not a stage failure
     analysis = None
     if "spectrum" in stages:
@@ -202,7 +218,7 @@ def run_analysis(config: RunConfig, write: bool = True,
             bundle.surrogate_tests = surrogate.intrinsic_tests(
                 pair, config.schemes, config.n_surrogates, config.master_seed,
                 analysis, level=config.significance_level,
-                max_iter=config.iaaft_max_iter, workers=config.workers,
+                max_iter=config.iaaft_max_iter, workers=workers,
                 delta_alpha_original=bundle.spectrum.delta_alpha)
         except surrogate.EnsembleFailedError as exc:
             # the schemes before the failed one are still reported
@@ -218,7 +234,8 @@ def run_analysis(config: RunConfig, write: bool = True,
         out = Path(config.out_dir)
         write_bundle(bundle, out)
         emit_plot_data(bundle, out / "figdata")
-        write_provenance(bundle, out, wall_seconds=time.time() - started)
+        write_provenance(bundle, out, wall_seconds=time.time() - started,
+                         workers=workers)
     return bundle
 
 
@@ -322,36 +339,12 @@ def _write_summary(bundle: AnalysisBundle, path: Path) -> None:
         fh.write("\n")
 
 
-FIGURE_FAMILIES = ("fluctuation", "hurst_bands", "tau_fit_curve",
-                   "spectrum_bands", "width_hist", "tau_deviation")
-
-
-def emit_plot_data(bundle: AnalysisBundle, out: Path,
-                   figures: tuple[str, ...] | None = None) -> list[Path]:
-    """Write one CSV per figure family; returns the paths written.
-
-    With figures=None, every family whose stage completed is emitted;
-    naming a family whose stage is missing raises PipelineError.
-    """
+def emit_plot_data(bundle: AnalysisBundle, out: Path) -> list[Path]:
+    """Write one CSV per figure family whose stages completed; returns
+    the paths written."""
     out = Path(out)
-    requested = FIGURE_FAMILIES if figures is None else tuple(figures)
-    explicit = figures is not None
-    for name in requested:
-        if name not in FIGURE_FAMILIES:
-            raise PipelineError(f"unknown figure family {name!r}")
     written: list[Path] = []
-
-    def want(name: str, available) -> bool:
-        if name not in requested:
-            return False
-        if not available:
-            if explicit:
-                raise PipelineError(
-                    f"figure {name!r} unavailable: its stage did not complete")
-            return False
-        return True
-
-    if want("fluctuation", bundle.surface is not None):
+    if bundle.surface is not None:
         surf = bundle.surface
         rows = [(q, s, surf.values[i, j])
                 for i, q in enumerate(surf.q_grid)
@@ -359,7 +352,7 @@ def emit_plot_data(bundle: AnalysisBundle, out: Path,
         p = out / "fluctuation.csv"
         _write_csv(p, ["q", "s", "F"], rows)
         written.append(p)
-    if want("hurst_bands", bundle.hurst is not None):
+    if bundle.hurst is not None:
         header = ["q", "H_orig"]
         cols = [bundle.hurst.q_grid, bundle.hurst.h]
         for rep in bundle.surrogate_tests:
@@ -369,14 +362,14 @@ def emit_plot_data(bundle: AnalysisBundle, out: Path,
         p = out / "hurst_bands.csv"
         _write_csv(p, header, zip(*cols))
         written.append(p)
-    if want("tau_fit_curve", bundle.spectrum is not None and bundle.tau_fit is not None):
+    if bundle.spectrum is not None and bundle.tau_fit is not None:
         q = bundle.spectrum.q_grid
         fitted = np.polyval(bundle.tau_fit.fit.coefficients[::-1], q)
         p = out / "tau_fit_curve.csv"
         _write_csv(p, ["q", "tau", "tau_quadratic_fit"],
                    zip(q, bundle.spectrum.tau, fitted))
         written.append(p)
-    if want("spectrum_bands", bundle.spectrum is not None):
+    if bundle.spectrum is not None:
         sp = bundle.spectrum
         header = ["q", "alpha_orig", "f_orig"]
         cols = [sp.q_grid, sp.alpha, sp.f_alpha]
@@ -388,14 +381,13 @@ def emit_plot_data(bundle: AnalysisBundle, out: Path,
         p = out / "spectrum_bands.csv"
         _write_csv(p, header, zip(*cols))
         written.append(p)
-    if want("width_hist", bool(bundle.surrogate_tests)):
-        for rep in bundle.surrogate_tests:
-            counts, edges = np.histogram(rep.widths, bins=30)
-            p = out / f"width_hist_{scheme_slug(rep.scheme)}.csv"
-            _write_csv(p, ["bin_lo", "bin_hi", "count"],
-                       zip(edges[:-1], edges[1:], counts))
-            written.append(p)
-    if want("tau_deviation", bundle.spectrum is not None and bundle.surrogate_tests):
+    for rep in bundle.surrogate_tests:
+        counts, edges = np.histogram(rep.widths, bins=30)
+        p = out / f"width_hist_{scheme_slug(rep.scheme)}.csv"
+        _write_csv(p, ["bin_lo", "bin_hi", "count"],
+                   zip(edges[:-1], edges[1:], counts))
+        written.append(p)
+    if bundle.spectrum is not None and bundle.surrogate_tests:
         header = ["q"]
         cols = [bundle.spectrum.q_grid]
         for rep in bundle.surrogate_tests:
@@ -407,8 +399,8 @@ def emit_plot_data(bundle: AnalysisBundle, out: Path,
     return written
 
 
-def write_provenance(bundle: AnalysisBundle, out: Path,
-                     wall_seconds: float) -> None:
+def write_provenance(bundle: AnalysisBundle, out: Path, wall_seconds: float,
+                     workers: int) -> None:
     cfg = dataclasses.asdict(bundle.config)
     cfg["schemes"] = [s.name for s in bundle.config.schemes]
     # where the run wrote and how many workers it used say nothing about
@@ -428,7 +420,7 @@ def write_provenance(bundle: AnalysisBundle, out: Path,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "wall_seconds": wall_seconds,
             "stage_seconds": {s.name: s.seconds for s in bundle.stages},
-            "workers": bundle.config.workers or surrogate.default_workers(),
+            "workers": workers,
             "out_dir": str(out),
         },
     }

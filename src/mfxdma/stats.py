@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special, stats as spstats
+from scipy import special
 
 
 class StatsError(ValueError):
@@ -49,47 +49,6 @@ class PolyFitReport:
     r_squared: float
 
 
-def cross_corr_coeff(x: np.ndarray, y: np.ndarray, lag: int) -> float:
-    """Lagged cross-correlation X_i = sum_k x[k] y[k-i] / sqrt(sum x^2 sum y^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.size
-    if y.size != n:
-        raise StatsError("inputs must share length")
-    if not (1 <= lag < n):
-        raise StatsError(f"lag must be in [1, {n - 1}], got {lag}")
-    denom = math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
-    if denom == 0.0:
-        raise StatsError("zero-variance input")
-    return float(np.dot(x[lag:], y[: n - lag])) / denom
-
-
-def _all_cross_corrs(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    # one FFT-free pass: correlate at all lags 1..m
-    n = x.size
-    denom = math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
-    if denom == 0.0:
-        raise StatsError("zero-variance input")
-    out = np.empty(m)
-    for i in range(1, m + 1):
-        out[i - 1] = float(np.dot(x[i:], y[: n - i])) / denom
-    return out
-
-
-def qcc_statistic(x: np.ndarray, y: np.ndarray, m: int) -> float:
-    """Portmanteau statistic N^2 * sum_{i=1..m} X_i^2 / (N - i)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.size
-    if y.size != n:
-        raise StatsError("inputs must share length")
-    if not (1 <= m < n):
-        raise StatsError(f"m must be in [1, {n - 1}], got {m}")
-    xc = _all_cross_corrs(x, y, m)
-    weights = 1.0 / (n - np.arange(1, m + 1, dtype=np.float64))
-    return float(n * n * np.sum(xc * xc * weights))
-
-
 @functools.lru_cache(maxsize=4096)
 def chi2_critical(m: int, level: float) -> float:
     """Upper-tail chi-square critical value: P[chi2_m > c] == level.
@@ -109,6 +68,8 @@ def qcc_test(x: np.ndarray, y: np.ndarray, m_range: Sequence[int],
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.size
+    if y.size != n:
+        raise StatsError("inputs must share length")
     m_arr = np.asarray(list(m_range), dtype=np.int64)
     if m_arr.size == 0:
         raise StatsError("empty m range")
@@ -116,8 +77,15 @@ def qcc_test(x: np.ndarray, y: np.ndarray, m_range: Sequence[int],
         raise StatsError(f"max lag depth {m_arr.max()} must be < N={n}")
     if m_arr.min() < 1:
         raise StatsError("lag depths must be >= 1")
-    xc = _all_cross_corrs(x, y, int(m_arr.max()))
-    terms = n * n * xc * xc / (n - np.arange(1, m_arr.max() + 1, dtype=np.float64))
+    denom = math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
+    if denom == 0.0:
+        raise StatsError("zero-variance input")
+    m_max = int(m_arr.max())
+    # lagged cross-correlations X_i = sum_k x[k] y[k-i] / denom, i = 1..m_max
+    xc = np.empty(m_max)
+    for i in range(1, m_max + 1):
+        xc[i - 1] = float(np.dot(x[i:], y[: n - i])) / denom
+    terms = n * n * xc * xc / (n - np.arange(1, m_max + 1, dtype=np.float64))
     cumulative = np.cumsum(terms)
     qcc = cumulative[m_arr - 1]
     critical = np.array([chi2_critical(int(m), level) for m in m_arr])
@@ -172,10 +140,11 @@ def ols_polyfit(xs: np.ndarray, ys: np.ndarray, degree: int) -> PolyFitReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0.0, coef / se,
                            np.sign(coef) * np.inf)
-        t_pvalues = 2.0 * spstats.t.sf(np.abs(t_stats), dof)
-    # an exact fit has an infinite F statistic
+        t_pvalues = 2.0 * special.stdtr(dof, -np.abs(t_stats))
+    # an exact fit has an infinite F statistic; rounding can leave a
+    # perfectly flat fit at a tiny negative F, where fdtrc gives NaN
     f_pvalue = (0.0 if f_stat == math.inf
-                else float(spstats.f.sf(f_stat, degree, dof)))
+                else float(special.fdtrc(degree, dof, max(f_stat, 0.0))))
     return PolyFitReport(
         coefficients=coef,
         std_errors=se,

@@ -88,15 +88,9 @@ def iaaft(series: np.ndarray, max_iter: int = 1000, seed: int = 0) -> np.ndarray
     rank permutation stops changing or max_iter is reached.  The output
     is always an exact permutation of the input.
     """
-    out, _ = iaaft_with_iterations(series, max_iter, seed)
-    return out
-
-
-def iaaft_with_iterations(series: np.ndarray, max_iter: int = 1000,
-                          seed: int = 0) -> tuple[np.ndarray, int]:
-    out, iterations = iaaft_rows(
-        np.asarray(series, dtype=np.float64).reshape(1, -1), [seed], max_iter)
-    return out[0], int(iterations[0])
+    out, _ = iaaft_rows(np.asarray(series, dtype=np.float64).reshape(1, -1),
+                        [seed], max_iter)
+    return out[0]
 
 
 # Values (rows x n) one IAAFT batch holds.  At the paper's n=6065 that
@@ -115,9 +109,8 @@ def iaaft_rows(rows: np.ndarray, seeds, max_iter: int = 1000
     """IAAFT of each row of a (rows x n) array, with its own seed.
 
     Row i of the result, and its iteration count, are bit-identical to
-    iaaft_with_iterations(rows[i], max_iter, seeds[i]): the rows share
-    only the FFT and sort calls, never data.  Rows run in batches of
-    _batch_rows(n).
+    those of rows[i] alone with seeds[i]: the rows share only the FFT and
+    sort calls, never data.  Rows run in batches of _batch_rows(n).
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(seeds):

@@ -6,7 +6,7 @@ import pytest
 from mfxdma import _accel
 from mfxdma.dma import (DegenerateSegmentError, DmaConfig, DmaError,
                         FluctuationSurface, analyze_pair, fluctuation_surface,
-                        hurst_curve, moving_average, profile, residuals,
+                        hurst_curve, profile, residuals,
                         segment_fluctuations)
 from mfxdma.stats import ols_polyfit
 
@@ -27,46 +27,42 @@ class TestProfile:
 
 
 class TestMovingAverage:
-    def test_window_of_one_is_identity(self):
-        z = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        for theta in (0.0, 0.3, 1.0):
-            out, valid = moving_average(z, 1, theta)
-            assert valid.all()
-            np.testing.assert_array_equal(out, z)
+    """Window placement of the detrending residuals z - mean(window)."""
 
     def test_constant_series(self):
         z = np.full(20, 7.5)
-        out, valid = moving_average(z, 6, 0.4)
-        np.testing.assert_allclose(out[valid], 7.5)
+        np.testing.assert_allclose(residuals(z, 6, 0.4), 0.0, atol=1e-12)
 
     def test_backward_two_point_window(self):
-        out, valid = moving_average(np.array([1.0, 2.0, 3.0, 4.0]), 2, 0.0)
-        assert valid.tolist() == [False, True, True, True]
-        np.testing.assert_allclose(out[1:], [1.5, 2.5, 3.5])
-        assert np.isnan(out[0])
+        # theta=0 averages the current and the previous sample
+        np.testing.assert_allclose(
+            residuals(np.array([1.0, 2.0, 4.0, 8.0]), 2, 0.0), [0.5, 1.0, 2.0])
 
     def test_forward_window_theta_one(self):
-        out, valid = moving_average(np.array([1.0, 2.0, 3.0, 4.0]), 2, 1.0)
         # theta=1 averages the current and the next sample
-        assert valid.tolist() == [True, True, True, False]
-        np.testing.assert_allclose(out[:3], [1.5, 2.5, 3.5])
+        np.testing.assert_allclose(
+            residuals(np.array([1.0, 2.0, 4.0, 8.0]), 2, 1.0), [-0.5, -1.0, -2.0])
 
     def test_centered_window_count(self):
-        out, valid = moving_average(np.arange(30.0), 5, 0.5)
-        assert valid.sum() == 30 - 5 + 1
+        out = residuals(np.arange(30.0), 5, 0.5)
+        assert out.size == 30 - 5 + 1
+        # a centred mean of a straight line is its middle sample
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_backward_window_is_causal(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal(50)
-        out, _ = moving_average(z, 7, 0.0)
+        out = residuals(z, 7, 0.0)
         z2 = z.copy()
         z2[30:] += 100.0
-        out2, _ = moving_average(z2, 7, 0.0)
-        np.testing.assert_array_equal(out[:30], out2[:30])
+        out2 = residuals(z2, 7, 0.0)
+        # residual i belongs to sample i + 6, which sees samples i..i+6
+        np.testing.assert_array_equal(out[:30 - 6], out2[:30 - 6])
+        assert not np.array_equal(out[30 - 6], out2[30 - 6])
 
     def test_window_larger_than_series(self):
         with pytest.raises(DmaError):
-            moving_average(np.ones(4), 5, 0.0)
+            residuals(np.ones(4), 5, 0.0)
 
 
 def _brute_fvs(x_det, y_det, s, theta):

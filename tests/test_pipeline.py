@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,18 @@ class TestRunConfig:
         assert d.theta == 0.25
         assert d.scale_min == 12 and d.scale_max == 200 and d.n_scales == 7
         assert not d.use_profile
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 0),
+        ("n_surrogates", -3),
+        ("iaaft_max_iter", 0),
+        ("qcc_m_max", 0),
+        ("significance_level", 0.0),
+        ("significance_level", 1.5),
+    ])
+    def test_bad_numbers_rejected(self, field, value):
+        with pytest.raises(PipelineError, match=field):
+            RunConfig(input_x="a", input_y="b", master_seed=0, **{field: value})
 
 
 class TestRunAnalysis:
@@ -191,11 +206,6 @@ class TestEmitPlotData:
             assert len(rows) == 30
             total = sum(int(r.split(",")[2]) for r in rows)
             assert total == rep.n_surrogates
-
-    def test_missing_stage_named(self, tmp_path):
-        bundle = self._bundle(tmp_path, n_surrogates=0)
-        with pytest.raises(PipelineError, match="width_hist"):
-            emit_plot_data(bundle, tmp_path / "fig", figures=("width_hist",))
 
     def test_tau_deviation_columns(self, tmp_path):
         bundle = self._bundle(tmp_path)
@@ -345,6 +355,42 @@ class TestCli:
         flags = ["--x", x, "--y", y, "--scale-max", "300"]
         assert cli.main(["spectrum", *flags]) == 1
         assert cli.main(["analyze", *flags, "--surrogates", "0"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--workers", "0", "--surrogates", "2"],
+        ["analyze", "--iaaft-max-iter", "0", "--surrogates", "2"],
+        ["analyze", "--surrogates", "-3"],
+        ["qcc", "--level", "1.5"],
+        ["qcc", "--m-max", "0"],
+    ])
+    def test_bad_run_config_exits_1_before_any_stage(self, tmp_path, capsys,
+                                                     argv):
+        x = _fgn_csv(tmp_path, "x.csv", 600, 11)
+        y = _fgn_csv(tmp_path, "y.csv", 600, 12)
+        out = tmp_path / "o"
+        if argv[0] == "analyze":
+            argv = argv + ["--seed", "1", "--scale-max", "100"]
+        assert cli.main([argv[0], "--x", str(x), "--y", str(y), *argv[1:],
+                         "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_bad_worker_env_exits_1_before_any_stage(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("MFXDMA_WORKERS", "0")
+        x = _fgn_csv(tmp_path, "x.csv", 600, 11)
+        y = _fgn_csv(tmp_path, "y.csv", 600, 12)
+        out = tmp_path / "o"
+        assert cli.main(["qcc", "--x", str(x), "--y", str(y), "--m-max", "20",
+                         "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half a second of every start
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; import mfxdma.cli; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_failed_surrogate_ensemble_exits_2(self, tmp_path, capsys,
                                                monkeypatch):

@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 from scipy import stats as spstats
 
-from mfxdma.stats import (StatsError, chi2_critical, cross_corr_coeff,
-                          ols_polyfit, qcc_statistic, qcc_test)
+from mfxdma.stats import StatsError, chi2_critical, ols_polyfit, qcc_test
+from stats_oracle import cross_corr_coeff, qcc_statistic
 
 
 class TestCrossCorrCoeff:
@@ -146,6 +146,11 @@ class TestQccTest:
         assert report.qcc[0] == pytest.approx(qcc_statistic(x, y, 3), rel=1e-12)
         assert report.qcc[1] == pytest.approx(qcc_statistic(x, y, 7), rel=1e-12)
 
+    def test_length_mismatch(self):
+        # a longer y would otherwise be read only up to x's length
+        with pytest.raises(StatsError, match="share length"):
+            qcc_test(np.arange(1.0, 11.0), np.arange(1.0, 13.0), [3], 0.05)
+
     def test_m_exceeding_length(self):
         with pytest.raises(StatsError):
             qcc_test(np.ones(10), np.ones(10), [5, 10], 0.05)
@@ -196,6 +201,17 @@ class TestOlsPolyfit:
         dof = 30 - 2
         expected = 2.0 * spstats.t.sf(abs(fit.t_stats[1]), dof)
         assert fit.t_pvalues[1] == pytest.approx(expected, rel=1e-12)
+
+    def test_flat_fit_rounding_below_zero_f(self):
+        # a symmetric ys gives a zero slope, and rounding can leave the F
+        # statistic a hair below 0, where the F tail alone gives NaN
+        xs = np.arange(-3.0, 4.0)
+        for half in ([-0.62394, -0.08841, -0.86094, -0.60311],
+                     [-0.62376, -0.57908, -0.33502, -0.54407]):
+            ys = np.array(half + half[2::-1])
+            fit = ols_polyfit(xs, ys, 1)
+            assert fit.f_stat <= 1e-12
+            assert fit.f_pvalue == 1.0
 
     def test_identical_xs_rejected(self):
         with pytest.raises(StatsError):

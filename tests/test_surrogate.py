@@ -11,7 +11,7 @@ from mfxdma import surrogate as sg
 from mfxdma.dma import DegenerateSegmentError, DmaConfig
 from mfxdma.surrogate import (EnsembleFailedError, SurrogateError,
                               SurrogateScheme, iaaft, iaaft_rows,
-                              iaaft_with_iterations, intrinsic_tests)
+                              intrinsic_tests)
 
 S1, S2, S3 = SurrogateScheme
 CFG = DmaConfig(scale_min=8, scale_max=60, n_scales=8)
@@ -50,7 +50,7 @@ class TestIaaft:
 
     def test_periodogram_fidelity(self):
         x = _ar1(2048, 0.7, 3)
-        s, iters = iaaft_with_iterations(x, 1000, 11)
+        (s,), (iters,) = iaaft_rows(x[None, :], [11], 1000)
         assert iters < 1000  # converged by rank stabilization
         po = np.abs(np.fft.rfft(x)) ** 2
         ps = np.abs(np.fft.rfft(s)) ** 2
@@ -84,17 +84,19 @@ class TestIaaft:
     ])
     def test_matches_double_argsort_reference(self, case, series, max_iter):
         for seed in (0, 1, 7, 12345):
-            got, got_iters = iaaft_with_iterations(series, max_iter, seed)
+            (got,), (got_iters,) = iaaft_rows(series[None, :], [seed],
+                                              max_iter)
             want, want_iters = oracle.iaaft_reference(series, max_iter, seed)
             assert got_iters == want_iters, case
             assert np.array_equal(got, want), case
+            assert np.array_equal(iaaft(series, max_iter, seed), want), case
         if case == "hits max_iter":
             assert got_iters == max_iter
 
     def test_non_convergence_warns(self, caplog):
         x = _ar1(400, 0.7, 5)
         with caplog.at_level(logging.WARNING, logger="mfxdma.surrogate"):
-            _, iters = iaaft_with_iterations(x, max_iter=2, seed=3)
+            _, (iters,) = iaaft_rows(x[None, :], [3], max_iter=2)
         assert iters == 2
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
@@ -103,7 +105,7 @@ class TestIaaft:
     def test_convergence_does_not_warn(self, caplog):
         x = _ar1(400, 0.7, 5)
         with caplog.at_level(logging.WARNING, logger="mfxdma.surrogate"):
-            _, iters = iaaft_with_iterations(x, max_iter=1000, seed=3)
+            _, (iters,) = iaaft_rows(x[None, :], [3], max_iter=1000)
         assert iters < 1000
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 

@@ -10,14 +10,22 @@ import math
 import numpy as np
 
 
-def window_means(z: np.ndarray, s: int) -> np.ndarray:
+def running_sums(z: np.ndarray) -> np.ndarray:
     # extended-precision cumsum keeps the running-sum error below float64
     # resolution even for 1e5-point profiles
-    c = np.cumsum(z, dtype=np.longdouble)
-    sums = np.empty(z.size - s + 1, dtype=np.longdouble)
-    sums[0] = c[s - 1]
-    sums[1:] = c[s:] - c[: z.size - s]
-    return np.asarray(sums / s, dtype=np.float64)
+    return np.cumsum(z, dtype=np.longdouble)
+
+
+def window_means(z: np.ndarray, s: int, sums: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Means of every length-s window of z; sums is running_sums(z), taken
+    here unless the caller already has it."""
+    c = running_sums(z) if sums is None else sums
+    out = np.empty(z.size - s + 1, dtype=np.longdouble)
+    out[0] = c[s - 1]
+    np.subtract(c[s:], c[: z.size - s], out=out[1:])
+    out /= s
+    return out.astype(np.float64)
 
 
 def segment_products(
@@ -28,18 +36,23 @@ def segment_products(
 
 
 def q_moments(fv: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
-    # log-domain power means: immune to overflow for strongly negative q on
-    # near-degenerate segments
+    """Power means of fv**0.5 of every order q, in the log domain: immune
+    to overflow for strongly negative q on near-degenerate segments.
+
+    Every q != 0 shares one (q x segments) array.  The final log and exp
+    of each q stay scalar math calls: np.log and np.exp differ from them
+    in the last bit for some inputs.
+    """
     logf = np.log(fv)
-    n_seg = fv.size
     out = np.empty(q_grid.size)
-    for i, q in enumerate(q_grid):
-        if q == 0.0:
-            out[i] = math.exp(0.5 * logf.mean())
-        else:
-            w = 0.5 * q * logf
-            m = w.max()
-            out[i] = math.exp(
-                (m + math.log(np.exp(w - m).sum() / n_seg)) / q
-            )
+    zero = q_grid == 0.0
+    out[zero] = math.exp(0.5 * logf.mean())
+    q = q_grid[~zero]
+    w = (0.5 * q)[:, None] * logf
+    m = w.max(axis=1)
+    w -= m[:, None]
+    np.exp(w, out=w)
+    means = w.sum(axis=1) / fv.size
+    t = (m + np.array([math.log(v) for v in means.tolist()])) / q
+    out[~zero] = [math.exp(v) for v in t.tolist()]
     return out

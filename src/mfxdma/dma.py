@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .stats import _ols_core
+from .stats import _ols_design, _ols_fit
 
 
 class DmaError(ValueError):
@@ -116,71 +116,110 @@ def _window_split(s: int, theta: float) -> tuple[int, int]:
     return back, fwd
 
 
-def residuals(z: np.ndarray, s: int, theta: float) -> np.ndarray:
-    """Detrending residuals on the valid window range (length N-s+1)."""
+def residuals(z: np.ndarray, s: int, theta: float,
+              sums: np.ndarray | None = None) -> np.ndarray:
+    """Detrending residuals on the valid window range (length N-s+1).
+
+    sums is z's extended-precision running sum (_accel.running_sums),
+    computed here unless the caller passes it.
+    """
     z = np.asarray(z, dtype=np.float64)
     n = z.size
     if not (2 <= s <= n):
         raise DmaError(f"scale must be in [2, {n}], got {s}")
     back, _ = _window_split(s, theta)
-    means = _accel.window_means(z, s)
+    means = _accel.window_means(z, s, sums)
     return z[back : back + means.size] - means
 
 
-def segment_fluctuations(x_det: np.ndarray, y_det: np.ndarray, s: int,
-                         theta: float = 0.0) -> np.ndarray:
-    """Segment-wise mean absolute residual covariation F_v(s).
+def fluctuation_surfaces(pairs, config: DmaConfig
+                         ) -> list[FluctuationSurface | DegenerateSegmentError]:
+    """F_xy(q,s) of several (x, y) pairs of detrendable inputs (profiles
+    already applied), in one pass over the scales.
 
-    Residual range is cut into floor((N-s+1)/s) segments of exactly s
-    points starting at the first valid position; the trailing remainder
-    is discarded.
+    Pairs may share an input array.  Each distinct array gets its running
+    sum once and its residuals once per scale, whichever pairs use it, so
+    a surface is bit-identical to that of its pair alone.  Residual range
+    is cut into floor((N-s+1)/s) segments of exactly s points starting at
+    the first valid position; the trailing remainder is discarded.  A
+    pair with a zero segment fluctuation gets a DegenerateSegmentError in
+    place of its surface and drops out of the later scales.
     """
-    x_det = np.asarray(x_det, dtype=np.float64)
-    y_det = np.asarray(y_det, dtype=np.float64)
-    if x_det.size != y_det.size:
+    inputs: list[np.ndarray] = []
+    slot: dict[int, int] = {}
+    legs = []
+    for pair in pairs:
+        for z in pair:
+            if id(z) not in slot:
+                slot[id(z)] = len(inputs)
+                inputs.append(np.asarray(z, dtype=np.float64))
+        legs.append(tuple(slot[id(z)] for z in pair))
+    n = inputs[0].size
+    if any(z.size != n for z in inputs):
         raise DmaError("series lengths differ")
-    ex = residuals(x_det, s, theta)
-    ey = residuals(y_det, s, theta)
-    n_seg = ex.size // s
-    if n_seg < 1:
-        raise DmaError(f"no complete segment of size {s} in {ex.size} residuals")
-    return _accel.segment_products(ex, ey, s, n_seg)
+    sums = [_accel.running_sums(z) for z in inputs]
+    scales = config.scales()
+    q_grid = config.q_grid
+    values = [np.empty((q_grid.size, scales.size)) for _ in legs]
+    out: list = [None] * len(legs)
+    live = list(range(len(legs)))
+    for j, s in enumerate(scales.tolist()):
+        det = {i: residuals(inputs[i], s, config.theta, sums[i])
+               for i in sorted({i for p in live for i in legs[p]})}
+        n_seg = (n - s + 1) // s
+        if n_seg < 1:
+            raise DmaError(f"no complete segment of size {s} in {n - s + 1} residuals")
+        for p in tuple(live):
+            ix, iy = legs[p]
+            fvs = _accel.segment_products(det[ix], det[iy], s, n_seg)
+            zeros = np.flatnonzero(fvs == 0.0)
+            if zeros.size:
+                out[p] = DegenerateSegmentError(
+                    f"segment {zeros[0]} at scale {s} has zero fluctuation")
+                live.remove(p)
+            else:
+                values[p][:, j] = _accel.q_moments(fvs, q_grid)
+        if not live:
+            break
+    for p in live:
+        out[p] = FluctuationSurface(scales=scales, q_grid=q_grid,
+                                    values=values[p])
+    return out
 
 
 def fluctuation_surface(x_det: np.ndarray, y_det: np.ndarray,
                         config: DmaConfig) -> FluctuationSurface:
     """F_xy(q,s) for detrendable inputs (profiles already applied)."""
-    scales = config.scales()
-    q_grid = config.q_grid
-    values = np.empty((q_grid.size, scales.size))
-    for j, s in enumerate(scales):
-        fvs = segment_fluctuations(x_det, y_det, int(s), config.theta)
-        zeros = np.nonzero(fvs == 0.0)[0]
-        if zeros.size:
-            raise DegenerateSegmentError(
-                f"segment {zeros[0]} at scale {s} has zero fluctuation"
-            )
-        values[:, j] = _accel.q_moments(fvs, q_grid)
-    return FluctuationSurface(scales=scales, q_grid=q_grid, values=values)
+    [surface] = fluctuation_surfaces([(x_det, y_det)], config)
+    if isinstance(surface, DegenerateSegmentError):
+        raise surface
+    return surface
 
 
 def hurst_curve(surface: FluctuationSurface) -> HurstCurve:
-    """Slope of log F against log s, one regression per q."""
+    """Slope of log F against log s, one regression per q on one shared
+    design matrix."""
     if surface.scales.size < 4:
         raise DmaError("need at least 4 scales for the scaling regression")
-    log_s = np.log(surface.scales.astype(np.float64))
+    log_f = np.log(surface.values)
+    bad = np.flatnonzero(~np.all(np.isfinite(log_f), axis=1))
+    if bad.size:
+        raise DmaError(f"non-finite log-fluctuation at q={surface.q_grid[bad[0]]}")
+    design, gram_inv = _ols_design(np.log(surface.scales.astype(np.float64)), 1)
     nq = surface.q_grid.size
     h = np.empty(nq)
     stderr = np.empty(nq)
     r2 = np.empty(nq)
     for i in range(nq):
-        log_f = np.log(surface.values[i])
-        if not np.all(np.isfinite(log_f)):
-            raise DmaError(f"non-finite log-fluctuation at q={surface.q_grid[i]}")
-        coef, se, r2[i], _ = _ols_core(log_s, log_f, degree=1)
+        coef, se, r2[i], _ = _ols_fit(design, gram_inv, log_f[i])
         h[i] = coef[1]
         stderr[i] = se[1]
     return HurstCurve(q_grid=surface.q_grid, h=h, stderr=stderr, r2=r2)
+
+
+def _detrendable(values: np.ndarray, config: DmaConfig) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return profile(values) if config.use_profile else values
 
 
 def analyze_pair(x_values: np.ndarray, y_values: np.ndarray,
@@ -191,9 +230,29 @@ def analyze_pair(x_values: np.ndarray, y_values: np.ndarray,
     if x_values.size != y_values.size:
         raise DmaError("series lengths differ")
     config.validate_for_length(x_values.size)
-    if config.use_profile:
-        zx, zy = profile(x_values), profile(y_values)
-    else:
-        zx, zy = x_values, y_values
+    zx = _detrendable(x_values, config)
+    zy = zx if y_values is x_values else _detrendable(y_values, config)
     surface = fluctuation_surface(zx, zy, config)
     return surface, hurst_curve(surface)
+
+
+def analyze_pairs(pairs, config: DmaConfig
+                  ) -> list[tuple[FluctuationSurface, HurstCurve]
+                            | DegenerateSegmentError]:
+    """analyze_pair of several (x, y) return pairs in one pass over the
+    scales (see fluctuation_surfaces).  Pairs that share a return array
+    share its profile and its residuals; a pair whose fluctuation
+    degenerates gets its DegenerateSegmentError in place of a result.
+    """
+    det: dict[int, np.ndarray] = {}
+    for v in (v for pair in pairs for v in pair):
+        if id(v) not in det:
+            det[id(v)] = _detrendable(v, config)
+    sizes = {z.size for z in det.values()}
+    if len(sizes) > 1:
+        raise DmaError("series lengths differ")
+    config.validate_for_length(sizes.pop())
+    surfaces = fluctuation_surfaces(
+        [(det[id(x)], det[id(y)]) for x, y in pairs], config)
+    return [s if isinstance(s, DegenerateSegmentError) else (s, hurst_curve(s))
+            for s in surfaces]

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
+
+
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_DIGIT_PLACES = [0, 1, 2, 3, 5, 6, 8, 9]  # of YYYY-MM-DD
 
 
 class SeriesError(ValueError):
@@ -77,50 +83,59 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
              label: str | None = None) -> RawSeries:
     """Read a dated series from a UTF-8 CSV with a header row.
 
-    Dates must be ISO-8601 calendar days, values positive decimal reals.
-    Rows are sorted by date on load; duplicate dates are an error.
+    Dates must be ISO-8601 calendar days written YYYY-MM-DD, values
+    positive decimal reals.  A byte-order mark is skipped, blank lines are
+    ignored, and an error names the file line of the first bad row (its
+    date is checked before its value).  Rows are sorted by date on load;
+    duplicate dates are an error.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise SeriesError(f"input file not found: {path}") from None
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SeriesError(f"{path}: empty file, expected a header row")
         for col in (date_column, value_column):
-            if col not in reader.fieldnames:
+            if col not in header:
                 raise SeriesError(
-                    f"{path}: missing column {col!r} (header has {reader.fieldnames})"
-                )
-        dates = []
-        values = []
+                    f"{path}: missing column {col!r} (header has {header})")
+            if header.count(col) > 1:
+                raise SeriesError(f"{path}: header names column {col!r} "
+                                  f"{header.count(col)} times")
+        di, vi = header.index(date_column), header.index(value_column)
+        width = max(di, vi) + 1
+        dates, values = [], []
+        unparsed = None
         for row in reader:
-            rownum = reader.line_num
-            raw_date = (row.get(date_column) or "").strip()
-            raw_value = (row.get(value_column) or "").strip()
+            if len(row) < width:
+                if not row:
+                    continue
+                row += [""] * (width - len(row))
+            dates.append(row[di].strip())
             try:
-                d = np.datetime64(raw_date, "D")
+                values.append(float(row[vi]))
             except ValueError:
-                raise SeriesError(
-                    f"{path} row {rownum}: unparseable date {raw_date!r}"
-                ) from None
-            try:
-                v = float(raw_value)
-            except ValueError:
-                raise SeriesError(
-                    f"{path} row {rownum}: unparseable value {raw_value!r}"
-                ) from None
-            if not math.isfinite(v) or v <= 0.0:
-                raise SeriesError(
-                    f"{path} row {rownum}: value must be a positive finite real, got {raw_value}"
-                )
-            dates.append(d)
-            values.append(v)
-    if len(dates) < 2:
-        raise SeriesError(f"{path}: need at least 2 data rows, got {len(dates)}")
-    dates_arr = np.array(dates, dtype="datetime64[D]")
+                unparsed = row[vi].strip()
+                break
+    dates_arr, bad_date = _iso_days(dates)
     values_arr = np.array(values, dtype=np.float64)
+    wrong = np.flatnonzero(~((values_arr > 0.0) & (values_arr < math.inf)))
+    bad_value = (int(wrong[0]) if wrong.size
+                 else len(values) if unparsed is not None else None)
+    # the first bad row is reported, and a row's date before its value
+    if bad_date is not None and (bad_value is None or bad_date <= bad_value):
+        raise SeriesError(f"{path} row {_data_row(path, bad_date)[0]}: "
+                          f"unparseable date {dates[bad_date]!r}")
+    if bad_value is not None:
+        line, row = _data_row(path, bad_value)
+        why = (f"value must be a positive finite real, got {row[vi].strip()}"
+               if wrong.size else f"unparseable value {unparsed!r}")
+        raise SeriesError(f"{path} row {line}: {why}")
+    if len(values) < 2:
+        raise SeriesError(f"{path}: need at least 2 data rows, got {len(values)}")
     order = np.argsort(dates_arr, kind="stable")
     dates_arr = dates_arr[order]
     values_arr = values_arr[order]
@@ -128,6 +143,42 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
     if dup.size:
         raise SeriesError(f"{path}: duplicate date {dates_arr[dup[0]]}")
     return RawSeries(label=label or str(path), dates=dates_arr, values=values_arr)
+
+
+def _iso_days(texts: list[str]) -> tuple[np.ndarray | None, int | None]:
+    """texts as datetime64[D], or None and the index of the first one that
+    is not a YYYY-MM-DD calendar day."""
+    # One byte per character, each text followed by a comma: the texts
+    # are all days exactly when this is n rows of "DDDD-DD-DD,", as a
+    # text of another length or with a comma in it shifts a later comma.
+    joined = np.frombuffer((",".join(texts) + ",").encode(), dtype=np.uint8)
+    if joined.size == 11 * len(texts):
+        rows = joined.reshape(-1, 11)
+        if (np.all(rows[:, _DIGIT_PLACES] - ord("0") < 10)
+                and np.all(rows[:, [4, 7]] == ord("-"))
+                and np.all(rows[:, 10] == ord(","))):
+            try:
+                return np.array(texts, dtype="datetime64[D]"), None
+            except ValueError:  # a month or a day out of range
+                pass
+    for i, text in enumerate(texts):
+        if not _ISO_DAY.fullmatch(text):
+            return None, i
+        try:
+            np.datetime64(text, "D")
+        except ValueError:
+            return None, i
+    return np.array(texts, dtype="datetime64[D]"), None
+
+
+def _data_row(path, index: int) -> tuple[int, list[str]]:
+    """The file line and the fields of the index-th non-blank row after
+    the header (the last line of a row whose quoted field spans lines)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = ((reader.line_num, row) for row in reader if row)
+        return next(itertools.islice(rows, index, None))
 
 
 def log_returns(s: RawSeries) -> ReturnSeries:

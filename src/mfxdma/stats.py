@@ -98,23 +98,34 @@ def qcc_test(x: np.ndarray, y: np.ndarray, m_range: Sequence[int],
     )
 
 
-def _ols_core(xs: np.ndarray, ys: np.ndarray, degree: int
-              ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Least-squares polynomial fit: coefficients (increasing powers),
-    their standard errors, R^2 and the whole-model F statistic."""
+def _ols_design(xs: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Design matrix of a least-squares polynomial fit (increasing
+    powers) and the inverse of its Gram matrix, shared by every fit on
+    the same abscissae."""
     xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
     if degree < 1:
         raise StatsError("degree must be >= 1")
-    n = xs.size
     k = degree + 1
-    if ys.size != n:
-        raise StatsError("inputs must share length")
-    if n < k + 1:
+    if xs.size < k + 1:
         raise StatsError(f"need at least {k + 1} points for degree {degree}")
     if np.ptp(xs) == 0.0:
         raise StatsError("xs are all identical")
     design = np.vander(xs, k, increasing=True)
+    try:
+        gram_inv = np.linalg.inv(design.T @ design)
+    except np.linalg.LinAlgError:
+        raise StatsError("rank-deficient design matrix") from None
+    return design, gram_inv
+
+
+def _ols_fit(design: np.ndarray, gram_inv: np.ndarray, ys: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Least-squares fit of ys on a _ols_design: coefficients, their
+    standard errors, R^2 and the whole-model F statistic."""
+    ys = np.asarray(ys, dtype=np.float64)
+    n, k = design.shape
+    if ys.size != n:
+        raise StatsError("inputs must share length")
     coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
     if rank < k:
         raise StatsError("rank-deficient design matrix")
@@ -125,17 +136,17 @@ def _ols_core(xs: np.ndarray, ys: np.ndarray, degree: int
     sst = float(np.sum((ys - ys.mean()) ** 2))
     ssr = sst - sse
     sigma2 = sse / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
+    cov = sigma2 * gram_inv
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     if sse <= 1e-14 * max(sst, 1.0):
         return coef, se, 1.0, math.inf
     r2 = max(0.0, min(1.0, 1.0 - sse / sst)) if sst > 0.0 else 1.0
-    return coef, se, r2, (ssr / degree) / sigma2
+    return coef, se, r2, (ssr / (k - 1)) / sigma2
 
 
 def ols_polyfit(xs: np.ndarray, ys: np.ndarray, degree: int) -> PolyFitReport:
     """Least-squares polynomial fit with t/F diagnostics and R^2."""
-    coef, se, r2, f_stat = _ols_core(xs, ys, degree)
+    coef, se, r2, f_stat = _ols_fit(*_ols_design(xs, degree), ys)
     dof = np.size(xs) - degree - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0.0, coef / se,

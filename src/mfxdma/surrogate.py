@@ -207,10 +207,13 @@ def _member_seed(master_seed: int, k: int, side: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _pair_spectrum(x_values: np.ndarray, y_values: np.ndarray,
-                   config: DmaConfig) -> JointSpectrumResult:
-    _, hurst = dma.analyze_pair(x_values, y_values, config)
-    return joint_spectrum(hurst)
+def _member_spectra(pairs, config: DmaConfig
+                    ) -> list[JointSpectrumResult | DegenerateSegmentError]:
+    """Joint spectra of one member's (x, y) pairs, one pair per scheme, in
+    one DMA pass: a series that several schemes use is detrended once.
+    A pair whose fluctuation degenerates keeps its error."""
+    return [r if isinstance(r, DegenerateSegmentError) else joint_spectrum(r[1])
+            for r in dma.analyze_pairs(pairs, config)]
 
 
 def default_workers() -> int:
@@ -239,9 +242,10 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
     by one.  Chunks run concurrently, split so that every worker gets
     one, and only the chunks in flight hold surrogates; seeds are
     derived per member, so the outcome depends on neither the chunking
-    nor the worker count.  Reports come back in the order of schemes.
-    Pass delta_alpha_original to reuse an already-computed original
-    width.
+    nor the worker count.  A member's schemes are evaluated together, in
+    one DMA pass (_member_spectra).  Reports come back in the order of
+    schemes.  Pass delta_alpha_original to reuse an already-computed
+    original width.
     """
     schemes = tuple(SurrogateScheme(s) for s in schemes)
     if not schemes:
@@ -249,8 +253,11 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
     if n < 1:
         raise SurrogateError(f"need n >= 1, got {n}")
     if delta_alpha_original is None:
-        delta_alpha_original = _pair_spectrum(pair.x.values, pair.y.values,
-                                              analysis).delta_alpha
+        [original] = _member_spectra([(pair.x.values, pair.y.values)],
+                                     analysis)
+        if isinstance(original, DegenerateSegmentError):
+            raise original
+        delta_alpha_original = original.delta_alpha
     if workers is None:
         workers = default_workers()
     originals = (pair.x.values, pair.y.values)
@@ -268,16 +275,15 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
         for i, k in enumerate(ks):
             xs, ys = (built[side][i] if side in built else None
                       for side in (0, 1))
-            spectra = []
-            for scheme in schemes:
-                xv = xs if scheme.replaces_x else originals[0]
-                yv = ys if scheme.replaces_y else originals[1]
-                try:
-                    spectra.append(_pair_spectrum(xv, yv, analysis))
-                except DegenerateSegmentError as exc:
+            spectra = _member_spectra(
+                [(xs if scheme.replaces_x else originals[0],
+                  ys if scheme.replaces_y else originals[1])
+                 for scheme in schemes], analysis)
+            for j, (scheme, spec) in enumerate(zip(schemes, spectra)):
+                if isinstance(spec, DegenerateSegmentError):
                     log.warning("surrogate member %d excluded from scheme %d: "
-                                "%s", k, scheme.value, exc)
-                    spectra.append(None)
+                                "%s", k, scheme.value, spec)
+                    spectra[j] = None
             results.append(spectra)
         return results
 

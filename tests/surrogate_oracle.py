@@ -2,15 +2,17 @@
 
 iaaft_reference is the IAAFT loop with the rank vector formed by a
 double stable argsort.  intrinsic_test runs one scheme's ensemble on its
-own, building every member from scratch, and reduces it the same way the
-package does.  Neither shares work, so they pin down what the shared
-surrogate bank and the single-argsort loop must reproduce bit for bit.
+own, building every member from scratch, evaluating it on the per-pair
+DMA path of dma_oracle, and reduces it the same way the package does.
+Neither shares work, so they pin down what the shared surrogate bank,
+the single-argsort loop and the one-pass evaluation of a member's
+schemes must reproduce bit for bit.
 """
 
 import numpy as np
 
-from mfxdma import dma
-from mfxdma.dma import DegenerateSegmentError
+from dma_oracle import analyze_pair_reference
+from mfxdma.dma import DegenerateSegmentError, HurstCurve
 from mfxdma.multifractal import joint_spectrum
 from mfxdma.series import AlignedPair, ReturnSeries
 from mfxdma.surrogate import SurrogateError, SurrogateTestReport
@@ -68,8 +70,9 @@ def intrinsic_test(pair, scheme, n, master_seed, analysis, level=0.05,
                    max_iter=1000, delta_alpha_original=None):
     """One scheme's ensemble, members built and evaluated one by one."""
     def spectrum(xv, yv):
-        _, hurst = dma.analyze_pair(xv, yv, analysis)
-        return joint_spectrum(hurst)
+        _, h, stderr, r2 = analyze_pair_reference(xv, yv, analysis)
+        return joint_spectrum(HurstCurve(q_grid=analysis.q_grid, h=h,
+                                         stderr=stderr, r2=r2))
 
     if delta_alpha_original is None:
         delta_alpha_original = spectrum(pair.x.values, pair.y.values).delta_alpha

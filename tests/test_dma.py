@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import dma_oracle as oracle
+from dma_oracle import segment_fluctuations
 from mfxdma import _accel
 from mfxdma.dma import (DegenerateSegmentError, DmaConfig, DmaError,
-                        FluctuationSurface, analyze_pair, fluctuation_surface,
-                        hurst_curve, profile, residuals,
-                        segment_fluctuations)
+                        FluctuationSurface, analyze_pair, analyze_pairs,
+                        fluctuation_surface, hurst_curve, profile, residuals)
 from mfxdma.stats import ols_polyfit
 
 
@@ -131,6 +132,10 @@ class TestSegmentFluctuations:
     def test_no_complete_segment(self):
         with pytest.raises(DmaError, match="segment"):
             segment_fluctuations(np.arange(10.0), np.arange(10.0), 6, 0.0)
+        # scale 6 leaves 5 residuals of 10 points
+        with pytest.raises(DmaError, match="no complete segment of size 6"):
+            fluctuation_surface(np.arange(10.0), np.arange(10.0) ** 2,
+                                _SMALL_GRID)
 
 
 class TestFluctuationFunction:
@@ -264,3 +269,95 @@ class TestAnalyzePair:
     def test_length_mismatch(self):
         with pytest.raises(DmaError):
             analyze_pair(np.ones(100), np.ones(99), DmaConfig())
+
+
+def _member(n, seed):
+    """Heavy-tailed, coupled returns and shuffled copies of each: a pair
+    and the two surrogates of one ensemble member."""
+    rng = np.random.default_rng(seed)
+    x = 0.01 * rng.standard_t(3, n)
+    y = 0.5 * x + 0.01 * rng.standard_t(3, n)
+    return x, y, rng.permutation(x), rng.permutation(y)
+
+
+def _assert_matches_reference(surface, hurst, xv, yv, config):
+    values, h, stderr, r2 = oracle.analyze_pair_reference(xv, yv, config)
+    assert np.array_equal(surface.values, values)
+    assert np.array_equal(hurst.h, h)
+    assert np.array_equal(hurst.stderr, stderr)
+    assert np.array_equal(hurst.r2, r2)
+
+
+class TestBatchedKernel:
+    """One member's schemes in one pass against the per-pair path that
+    evaluated them one by one (dma_oracle), bit for bit."""
+
+    @pytest.mark.parametrize("n", [515, 2048, 6065])
+    def test_member_schemes_match_per_pair_path(self, n):
+        x, y, xs, ys = _member(n, n)
+        config = DmaConfig(scale_max=min(316, n // 4))
+        pairs = [(xs, y), (x, ys), (xs, ys)]
+        results = analyze_pairs(pairs, config)
+        for (xv, yv), (surface, hurst) in zip(pairs, results):
+            _assert_matches_reference(surface, hurst, xv, yv, config)
+
+    @pytest.mark.parametrize("config", [
+        DmaConfig(theta=0.5, scale_max=400),
+        DmaConfig(theta=1.0, scale_min=4, scale_max=100, n_scales=12),
+        DmaConfig(use_profile=False, scale_max=400,
+                  q_grid=np.linspace(-10.0, 10.0, 81)),
+    ])
+    def test_single_pair_matches_per_pair_path(self, config):
+        x, y, _, _ = _member(2048, 7)
+        surface, hurst = analyze_pair(x, y, config)
+        _assert_matches_reference(surface, hurst, x, y, config)
+        # a pair of one array with itself shares its residuals
+        surface, hurst = analyze_pair(x, x, config)
+        _assert_matches_reference(surface, hurst, x, x.copy(), config)
+
+    def test_degenerate_scheme_alone_drops_out(self):
+        x, y, xs, ys = _member(2048, 11)
+        y = y.copy()
+        y[300:400] = 0.0  # a flat profile stretch zeroes scheme 1's segments
+        config = DmaConfig(scale_max=400)
+        pairs = [(xs, y), (x, ys), (xs, ys)]
+        bad, *good = analyze_pairs(pairs, config)
+        assert isinstance(bad, DegenerateSegmentError)
+        with pytest.raises(DegenerateSegmentError) as ref:
+            oracle.analyze_pair_reference(xs, y, config)
+        assert str(bad) == str(ref.value)
+        for (xv, yv), (surface, hurst) in zip(pairs[1:], good):
+            _assert_matches_reference(surface, hurst, xv, yv, config)
+
+    def test_length_mismatch(self):
+        x, y, xs, _ = _member(600, 3)
+        with pytest.raises(DmaError, match="lengths differ"):
+            analyze_pairs([(x, y), (xs, y[:-1])], DmaConfig(scale_max=150))
+
+    @pytest.mark.parametrize("n_seg", [1, 2, 7, 600, 9000])
+    def test_q_moments_match_scalar_loop(self, n_seg):
+        rng = np.random.default_rng(n_seg)
+        # spread over 30 decades, as near-degenerate segments give
+        fv = 10.0 ** rng.uniform(-20.0, 10.0, n_seg)
+        q = np.round(np.arange(-40, 41) * 0.25, 10)
+        assert np.array_equal(_accel.q_moments(fv, q), oracle.q_moments(fv, q))
+
+
+class TestBenchmarkProbes:
+    """The kernel calls and shapes perfbench's probes make: a changed
+    signature fails here, not in a traced benchmark run."""
+
+    def test_probe_calls(self):
+        rng = np.random.default_rng(1)
+        z = np.cumsum(rng.standard_normal(65536))
+        ex = rng.standard_normal(65536)
+        ey = rng.standard_normal(65536)
+        fv = np.abs(rng.standard_normal(600)) + 1e-9
+        qs = np.round(np.arange(-20, 21) * 0.25, 10)
+        means = _accel.window_means(z, 316)
+        assert np.array_equal(means, oracle.window_means(z, 316))
+        fvs = _accel.segment_products(ex, ey, 316, 65536 // 316)
+        assert fvs.shape == (65536 // 316,)
+        moments = _accel.q_moments(fv, qs)
+        assert moments.shape == qs.shape
+        assert np.array_equal(moments, oracle.q_moments(fv, qs))

@@ -97,15 +97,16 @@ class TestRunAnalysis:
     def test_failed_scheme_keeps_earlier_schemes(self, tmp_path, monkeypatch):
         from mfxdma import surrogate
 
-        real = surrogate._pair_spectrum
+        real = surrogate._member_spectra
         pair = pipeline.load_pair(_config(tmp_path))
 
-        def fail_scheme2(xv, yv, config):
-            if np.array_equal(xv, pair.x.values):  # original x: scheme 2
-                raise dma.DegenerateSegmentError("segment 0 degenerate")
-            return real(xv, yv, config)
+        def fail_scheme2(pairs, config):
+            # original x: scheme 2
+            return [dma.DegenerateSegmentError("segment 0 degenerate")
+                    if np.array_equal(xv, pair.x.values) else spectrum
+                    for (xv, _), spectrum in zip(pairs, real(pairs, config))]
 
-        monkeypatch.setattr(surrogate, "_pair_spectrum", fail_scheme2)
+        monkeypatch.setattr(surrogate, "_member_spectra", fail_scheme2)
         config = _config(tmp_path, n_surrogates=2, schemes=tuple(SurrogateScheme))
         bundle = run_analysis(config)
         assert not bundle.stages[-1].ok
@@ -128,18 +129,29 @@ class TestRunAnalysis:
             assert a == b, name
 
     def test_invocation_count(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        real = dma.analyze_pair
+        from mfxdma import surrogate
 
-        def counting(*args, **kw):
+        # spectra: one per analyze_pair call, one per pair of a member
+        calls = {"n": 0, "members": 0}
+        real_pair = dma.analyze_pair
+        real_member = surrogate._member_spectra
+
+        def counting_pair(*args, **kw):
             calls["n"] += 1
-            return real(*args, **kw)
+            return real_pair(*args, **kw)
 
-        monkeypatch.setattr(dma, "analyze_pair", counting)
+        def counting_member(pairs, config):
+            calls["n"] += len(pairs)
+            calls["members"] += 1
+            return real_member(pairs, config)
+
+        monkeypatch.setattr(dma, "analyze_pair", counting_pair)
+        monkeypatch.setattr(surrogate, "_member_spectra", counting_member)
         n, schemes = 3, tuple(SurrogateScheme)
         config = _config(tmp_path, n_surrogates=n, schemes=schemes)
         run_analysis(config, write=False)
         assert calls["n"] == n * len(schemes) + 1
+        assert calls["members"] == n
 
     def test_stage_failure_recorded_not_fatal(self, tmp_path):
         # a 3-point q grid is enough for the spectrum but too short for
@@ -396,10 +408,11 @@ class TestCli:
                                                monkeypatch):
         from mfxdma import surrogate
 
-        def degenerate(xv, yv, config):
-            raise dma.DegenerateSegmentError("segment 0 degenerate")
+        def degenerate(pairs, config):
+            return [dma.DegenerateSegmentError("segment 0 degenerate")
+                    for _ in pairs]
 
-        monkeypatch.setattr(surrogate, "_pair_spectrum", degenerate)
+        monkeypatch.setattr(surrogate, "_member_spectra", degenerate)
         x = _fgn_csv(tmp_path, "x.csv", 600, 11)
         y = _fgn_csv(tmp_path, "y.csv", 600, 12)
         assert cli.main(["surrogate-test", "--x", str(x), "--y", str(y),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,93 @@ class TestLoadCsv:
         p = _write(tmp_path, "date,value\n2020-01-01,100\n")
         with pytest.raises(SeriesError, match="at least 2"):
             load_csv(p)
+
+
+class TestLoadCsvDates:
+    @pytest.mark.parametrize("cell", [
+        "", "NaT", "2000-01", "2000-01-03T10:00", "2000-1-3", "today",
+        "+2000-01-03", "20000103", "2000-02-30", "2000-13-01"])
+    def test_only_calendar_days_parse(self, tmp_path, cell):
+        p = _write(tmp_path, f"date,value\n2000-01-01,100\n{cell},110\n"
+                             "2000-01-05,120\n")
+        with pytest.raises(SeriesError, match=re.escape(
+                f"row 3: unparseable date {cell!r}")):
+            load_csv(p)
+
+    def test_padded_date_is_stripped(self, tmp_path):
+        p = _write(tmp_path, "date,value\n 2020-01-01 ,100\n2020-01-02, 110 \n")
+        s = load_csv(p)
+        assert str(s.dates[0]) == "2020-01-01"
+        assert s.values.tolist() == [100.0, 110.0]
+
+    def test_first_bad_row_wins(self, tmp_path):
+        # a row's date is checked before its value, earlier rows first
+        p = _write(tmp_path, "date,value\n2020-01-01,100\n2020-01-02,x\n"
+                             "2020-01,110\n")
+        with pytest.raises(SeriesError, match="row 3: unparseable value 'x'"):
+            load_csv(p)
+        p = _write(tmp_path, "date,value\n2020-01-01,100\n2020-01,x\n")
+        with pytest.raises(SeriesError, match="row 3: unparseable date"):
+            load_csv(p)
+        p = _write(tmp_path, "date,value\n2020-01-01,-1\n2020-01-02,x\n")
+        with pytest.raises(SeriesError, match="row 2: value must be"):
+            load_csv(p)
+        p = _write(tmp_path, "date,value\n2020-01-01,1\n2020-01-02,0\nNaT,1\n")
+        with pytest.raises(SeriesError, match="row 3: value must be .* got 0$"):
+            load_csv(p)
+
+
+class TestLoadCsvHeader:
+    def test_byte_order_mark(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfdate,value\r\n2020-01-01,100\r\n"
+                      b"2020-01-02,101\r\n")
+        assert load_csv(p).values.tolist() == [100.0, 101.0]
+
+    @pytest.mark.parametrize("header", ["date,value,date", "value,date,value"])
+    def test_column_named_twice(self, tmp_path, header):
+        p = _write(tmp_path, f"{header}\n2020-01-01,100,1\n2020-01-02,101,2\n")
+        with pytest.raises(SeriesError, match="2 times"):
+            load_csv(p)
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(SeriesError, match="empty file"):
+            load_csv(_write(tmp_path, ""))
+
+
+class TestLoadCsvLayout:
+    """File layouts the loader accepts and the row numbers it reports."""
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = _write(tmp_path, "date,value\n\n2020-01-01,100\n\n\n2020-01-02,110\n\n")
+        assert load_csv(p).values.tolist() == [100.0, 110.0]
+
+    def test_short_row(self, tmp_path):
+        p = _write(tmp_path, "date,value\n2020-01-01,100\n2020-01-02\n")
+        with pytest.raises(SeriesError, match="row 3: unparseable value ''"):
+            load_csv(p)
+
+    def test_row_number_after_blank_line(self, tmp_path):
+        p = _write(tmp_path, "date,value\n2020-01-01,100\n\n2020-01-02,-5\n")
+        with pytest.raises(SeriesError, match="row 4: value must be"):
+            load_csv(p)
+
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "crlf.csv"
+        p.write_bytes(b"date,value\r\n2020-01-01,100\r\n2020-01-02,101.5\r\n")
+        assert load_csv(p).values.tolist() == [100.0, 101.5]
+
+    def test_quoted_fields(self, tmp_path):
+        p = _write(tmp_path, '"date","value"\n"2020-01-01","100"\n'
+                             '"2020-01-02","1.5e2"\n')
+        assert load_csv(p).values.tolist() == [100.0, 150.0]
+
+    def test_extra_columns_ignored(self, tmp_path):
+        p = _write(tmp_path, "id,value,note,date,more\n1,100,a,2020-01-01,x,y\n"
+                             "2,110,b,2020-01-02\n")
+        s = load_csv(p)
+        assert s.values.tolist() == [100.0, 110.0]
+        assert str(s.dates[1]) == "2020-01-02"
 
 
 class TestLogReturns:

@@ -22,6 +22,21 @@ def _ar1(n, phi, seed):
     return lfilter([1.0], [1.0, -phi], rng.standard_normal(n))
 
 
+def _per_pair(fake):
+    """A stand-in for the per-member seam that hands each scheme's (x, y)
+    pair to fake(xv, yv, config) and keeps a DegenerateSegmentError it
+    raises in that scheme's place, as the seam does."""
+    def member_spectra(pairs, config):
+        out = []
+        for xv, yv in pairs:
+            try:
+                out.append(fake(xv, yv, config))
+            except DegenerateSegmentError as exc:
+                out.append(exc)
+        return out
+    return member_spectra
+
+
 def _fake_spectrum(width):
     spec = type("S", (), {})()
     spec.delta_alpha = width
@@ -194,7 +209,7 @@ def _member_inputs(monkeypatch, pair, schemes, n, seed):
         seen.append((xv, yv))
         return _fake_spectrum(0.5)
 
-    monkeypatch.setattr(sg, "_pair_spectrum", record)
+    monkeypatch.setattr(sg, "_member_spectra", _per_pair(record))
     intrinsic_tests(pair, schemes, n, seed, CFG, workers=1,
                     delta_alpha_original=0.1)
     monkeypatch.undo()
@@ -254,8 +269,8 @@ class TestIntrinsicTest:
     def test_scripted_p_extremes(self, monkeypatch):
         pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
         # every member wider than the original
-        monkeypatch.setattr(sg, "_pair_spectrum",
-                            lambda xv, yv, config: _fake_spectrum(0.9))
+        monkeypatch.setattr(sg, "_member_spectra", _per_pair(
+            lambda xv, yv, config: _fake_spectrum(0.9)))
         reports = intrinsic_tests(pair, (S1, S2, S3), 4, 0, CFG,
                                   delta_alpha_original=0.1)
         assert [r.p_value for r in reports] == [1.0, 1.0, 1.0]
@@ -273,7 +288,7 @@ class TestIntrinsicTest:
                 raise DegenerateSegmentError("segment 0 degenerate")
             return _fake_spectrum(0.5)
 
-        monkeypatch.setattr(sg, "_pair_spectrum", fake)
+        monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
         [report] = intrinsic_tests(pair, (S3,), 4, 0, CFG, workers=1,
                                    delta_alpha_original=0.1)
         assert report.excluded == 1
@@ -292,7 +307,7 @@ class TestIntrinsicTest:
                 raise DegenerateSegmentError("segment 0 degenerate")
             return _fake_spectrum(0.5)
 
-        monkeypatch.setattr(sg, "_pair_spectrum", fake)
+        monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
         reports = intrinsic_tests(pair, (S1, S2, S3), 4, 0, CFG,
                                   workers=workers, delta_alpha_original=0.1)
         assert [r.excluded for r in reports] == [0, 1, 0]
@@ -306,7 +321,7 @@ class TestIntrinsicTest:
                 raise DegenerateSegmentError("segment 0 degenerate")
             return _fake_spectrum(0.5)
 
-        monkeypatch.setattr(sg, "_pair_spectrum", fake)
+        monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
         with pytest.raises(EnsembleFailedError) as info:
             intrinsic_tests(pair, (S1, S2, S3), 3, 0, CFG, workers=1,
                             delta_alpha_original=0.1)
@@ -378,8 +393,8 @@ class TestIntrinsicTest:
             return real(rows, seeds, max_iter)
 
         monkeypatch.setattr(sg, "iaaft_rows", counting)
-        monkeypatch.setattr(sg, "_pair_spectrum",
-                            lambda xv, yv, config: _fake_spectrum(0.5))
+        monkeypatch.setattr(sg, "_member_spectra", _per_pair(
+            lambda xv, yv, config: _fake_spectrum(0.5)))
         n = 4
         intrinsic_tests(pair, schemes, n, 0, CFG, workers=1,
                         delta_alpha_original=0.1)

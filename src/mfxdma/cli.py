@@ -186,8 +186,6 @@ def build_parser() -> _Parser:
     pt.add_argument("--surrogates", dest="n_surrogates", type=int,
                     default=None)
     pt.add_argument("--schemes", type=_parse_schemes, default=None)
-    pt.add_argument("--level", dest="significance_level", type=float,
-                    default=None)
     pt.add_argument("--iaaft-max-iter", type=int, default=None)
     pt.add_argument("--workers", type=int, default=None)
 

@@ -217,8 +217,7 @@ def run_analysis(config: RunConfig, write: bool = True,
         try:
             bundle.surrogate_tests = surrogate.intrinsic_tests(
                 pair, config.schemes, config.n_surrogates, config.master_seed,
-                analysis, level=config.significance_level,
-                max_iter=config.iaaft_max_iter, workers=workers,
+                analysis, max_iter=config.iaaft_max_iter, workers=workers,
                 delta_alpha_original=bundle.spectrum.delta_alpha)
         except surrogate.EnsembleFailedError as exc:
             # the schemes before the failed one are still reported
@@ -240,24 +239,35 @@ def run_analysis(config: RunConfig, write: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# serialization: repr() of a float round-trips exactly, so identical runs
-# give byte-identical files
+# serialization: every CSV is {header name: column} through _write_csv and
+# every JSON document goes through _write_json.  repr() of a float
+# round-trips exactly, so identical runs give byte-identical files
 # ---------------------------------------------------------------------------
 
-def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _cells(column) -> list[str]:
+    values = np.asarray(column)
+    if values.dtype.kind == "b":
+        return ["true" if v else "false" for v in values.tolist()]
+    if values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    return list(map(str, values.tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """One row per position of the equal-length columns, the keys as the
+    header: flags as true/false, floats by repr, the rest by str."""
+    rows = zip(*map(_cells, columns.values()))
+    lines = [",".join(columns), *map(",".join, rows)]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def scheme_slug(scheme: SurrogateScheme) -> str:
@@ -268,33 +278,30 @@ def write_bundle(bundle: AnalysisBundle, out: Path) -> None:
     out = Path(out)
     if bundle.qcc is not None:
         r = bundle.qcc
-        _write_csv(out / "qcc.csv", ["m", "qcc", "critical", "reject"],
-                   zip(r.m_values, r.qcc, r.critical, r.reject))
+        _write_csv(out / "qcc.csv", {"m": r.m_values, "qcc": r.qcc,
+                                     "critical": r.critical, "reject": r.reject})
     if bundle.spectrum is not None:
         sp = bundle.spectrum
-        _write_csv(out / "spectrum.csv", ["q", "H", "tau", "alpha", "f"],
-                   zip(sp.q_grid, sp.h, sp.tau, sp.alpha, sp.f_alpha))
+        _write_csv(out / "spectrum.csv", {"q": sp.q_grid, "H": sp.h,
+                                          "tau": sp.tau, "alpha": sp.alpha,
+                                          "f": sp.f_alpha})
     if bundle.tau_fit is not None:
         fit = bundle.tau_fit.fit
-        _write_csv(
-            out / "tau_fit.csv",
-            ["a0", "a1", "a2", "se0", "se1", "se2", "t0", "t1", "t2",
-             "p0", "p1", "p2", "f_stat", "f_pvalue", "r_squared",
-             "multifractal_flag"],
-            [tuple(fit.coefficients) + tuple(fit.std_errors) + tuple(fit.t_stats)
-             + tuple(fit.t_pvalues)
-             + (fit.f_stat, fit.f_pvalue, fit.r_squared,
-                bundle.tau_fit.multifractal_flag)],
-        )
+        _write_csv(out / "tau_fit.csv", {
+            **{f"{prefix}{i}": [v] for prefix, values in (
+                ("a", fit.coefficients), ("se", fit.std_errors),
+                ("t", fit.t_stats), ("p", fit.t_pvalues))
+               for i, v in enumerate(values)},
+            "f_stat": [fit.f_stat], "f_pvalue": [fit.f_pvalue],
+            "r_squared": [fit.r_squared],
+            "multifractal_flag": [bundle.tau_fit.multifractal_flag]})
     for rep in bundle.surrogate_tests:
-        _write_csv(
-            out / f"surrogate_{scheme_slug(rep.scheme)}.csv",
-            ["pair", "scheme", "delta_alpha", "mean_hat", "std_hat",
-             "p_value", "n", "excluded"],
-            [(bundle.pair_label, rep.scheme.name, rep.delta_alpha_original,
-              rep.mean_surrogate_width, rep.std_surrogate_width,
-              rep.p_value, rep.n_surrogates, rep.excluded)],
-        )
+        _write_csv(out / f"surrogate_{scheme_slug(rep.scheme)}.csv", {
+            "pair": [bundle.pair_label], "scheme": [rep.scheme.name],
+            "delta_alpha": [rep.delta_alpha_original],
+            "mean_hat": [rep.mean_surrogate_width],
+            "std_hat": [rep.std_surrogate_width], "p_value": [rep.p_value],
+            "n": [rep.n_surrogates], "excluded": [rep.excluded]})
     _write_summary(bundle, out / "summary.json")
 
 
@@ -333,70 +340,52 @@ def _write_summary(bundle: AnalysisBundle, path: Path) -> None:
                 any(rep.p_value < level for rep in bundle.surrogate_tests))
             for level in REPORT_LEVELS
         }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, summary)
 
 
-def emit_plot_data(bundle: AnalysisBundle, out: Path) -> list[Path]:
-    """Write one CSV per figure family whose stages completed; returns
-    the paths written."""
+def emit_plot_data(bundle: AnalysisBundle, out: Path) -> None:
+    """Write one CSV per figure family whose stages completed."""
     out = Path(out)
-    written: list[Path] = []
+    reps = bundle.surrogate_tests
     if bundle.surface is not None:
         surf = bundle.surface
-        rows = [(q, s, surf.values[i, j])
-                for i, q in enumerate(surf.q_grid)
-                for j, s in enumerate(surf.scales)]
-        p = out / "fluctuation.csv"
-        _write_csv(p, ["q", "s", "F"], rows)
-        written.append(p)
+        # q outer, s inner
+        _write_csv(out / "fluctuation.csv", {
+            "q": np.repeat(surf.q_grid, surf.scales.size),
+            "s": np.tile(surf.scales, surf.q_grid.size),
+            "F": surf.values.ravel()})
     if bundle.hurst is not None:
-        header = ["q", "H_orig"]
-        cols = [bundle.hurst.q_grid, bundle.hurst.h]
-        for rep in bundle.surrogate_tests:
+        columns = {"q": bundle.hurst.q_grid, "H_orig": bundle.hurst.h}
+        for rep in reps:
             sid = rep.scheme.value
-            header += [f"H_mean_s{sid}", f"H_std_s{sid}"]
-            cols += [rep.h_mean, rep.h_std]
-        p = out / "hurst_bands.csv"
-        _write_csv(p, header, zip(*cols))
-        written.append(p)
+            columns[f"H_mean_s{sid}"] = rep.h_mean
+            columns[f"H_std_s{sid}"] = rep.h_std
+        _write_csv(out / "hurst_bands.csv", columns)
     if bundle.spectrum is not None and bundle.tau_fit is not None:
         q = bundle.spectrum.q_grid
-        fitted = np.polyval(bundle.tau_fit.fit.coefficients[::-1], q)
-        p = out / "tau_fit_curve.csv"
-        _write_csv(p, ["q", "tau", "tau_quadratic_fit"],
-                   zip(q, bundle.spectrum.tau, fitted))
-        written.append(p)
+        _write_csv(out / "tau_fit_curve.csv", {
+            "q": q, "tau": bundle.spectrum.tau,
+            "tau_quadratic_fit": np.polyval(
+                bundle.tau_fit.fit.coefficients[::-1], q)})
     if bundle.spectrum is not None:
         sp = bundle.spectrum
-        header = ["q", "alpha_orig", "f_orig"]
-        cols = [sp.q_grid, sp.alpha, sp.f_alpha]
-        for rep in bundle.surrogate_tests:
+        columns = {"q": sp.q_grid, "alpha_orig": sp.alpha, "f_orig": sp.f_alpha}
+        for rep in reps:
             sid = rep.scheme.value
-            header += [f"alpha_mean_s{sid}", f"alpha_std_s{sid}",
-                       f"f_mean_s{sid}", f"f_std_s{sid}"]
-            cols += [rep.alpha_mean, rep.alpha_std, rep.f_mean, rep.f_std]
-        p = out / "spectrum_bands.csv"
-        _write_csv(p, header, zip(*cols))
-        written.append(p)
-    for rep in bundle.surrogate_tests:
+            columns[f"alpha_mean_s{sid}"] = rep.alpha_mean
+            columns[f"alpha_std_s{sid}"] = rep.alpha_std
+            columns[f"f_mean_s{sid}"] = rep.f_mean
+            columns[f"f_std_s{sid}"] = rep.f_std
+        _write_csv(out / "spectrum_bands.csv", columns)
+    for rep in reps:
         counts, edges = np.histogram(rep.widths, bins=30)
-        p = out / f"width_hist_{scheme_slug(rep.scheme)}.csv"
-        _write_csv(p, ["bin_lo", "bin_hi", "count"],
-                   zip(edges[:-1], edges[1:], counts))
-        written.append(p)
-    if bundle.spectrum is not None and bundle.surrogate_tests:
-        header = ["q"]
-        cols = [bundle.spectrum.q_grid]
-        for rep in bundle.surrogate_tests:
-            header.append(f"tau_dev_s{rep.scheme.value}")
-            cols.append(bundle.spectrum.tau - rep.tau_mean)
-        p = out / "tau_deviation.csv"
-        _write_csv(p, header, zip(*cols))
-        written.append(p)
-    return written
+        _write_csv(out / f"width_hist_{scheme_slug(rep.scheme)}.csv",
+                   {"bin_lo": edges[:-1], "bin_hi": edges[1:], "count": counts})
+    if bundle.spectrum is not None and reps:
+        _write_csv(out / "tau_deviation.csv", {
+            "q": bundle.spectrum.q_grid,
+            **{f"tau_dev_s{rep.scheme.value}": bundle.spectrum.tau - rep.tau_mean
+               for rep in reps}})
 
 
 def write_provenance(bundle: AnalysisBundle, out: Path, wall_seconds: float,
@@ -407,7 +396,7 @@ def write_provenance(bundle: AnalysisBundle, out: Path, wall_seconds: float,
     # the numbers; keep them with the volatile facts
     cfg.pop("out_dir")
     cfg.pop("workers")
-    doc = {
+    _write_json(Path(out) / "provenance.json", {
         "version": __version__,
         "pair": bundle.pair_label,
         "master_seed": bundle.config.master_seed,
@@ -423,9 +412,4 @@ def write_provenance(bundle: AnalysisBundle, out: Path, wall_seconds: float,
             "workers": workers,
             "out_dir": str(out),
         },
-    }
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "provenance.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

@@ -67,9 +67,6 @@ class SurrogateTestReport:
     p_value: float
     n_surrogates: int
     excluded: int
-    master_seed: int
-    significance_level: float
-    intrinsic_candidate: bool
     widths: np.ndarray
     h_mean: np.ndarray
     h_std: np.ndarray
@@ -227,8 +224,8 @@ def default_workers() -> int:
 
 
 def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
-                    analysis: DmaConfig, level: float = 0.05,
-                    max_iter: int = 1000, workers: int | None = None,
+                    analysis: DmaConfig, max_iter: int = 1000,
+                    workers: int | None = None,
                     delta_alpha_original: float | None = None
                     ) -> list[SurrogateTestReport]:
     """Compare the pair's singularity width against one ensemble per scheme.
@@ -303,7 +300,7 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
                 f"every surrogate member failed under scheme {scheme.value}; "
                 "cannot form a p-value", reports)
         reports.append(_report(scheme, good, n - len(good),
-                               float(delta_alpha_original), master_seed, level))
+                               float(delta_alpha_original)))
     return reports
 
 
@@ -317,27 +314,21 @@ def _member_chunks(n: int, sides: int, length: int, workers: int) -> list[range]
 
 
 def _report(scheme: SurrogateScheme, good: list[JointSpectrumResult],
-            excluded: int, delta_alpha_original: float, master_seed: int,
-            level: float) -> SurrogateTestReport:
+            excluded: int, delta_alpha_original: float) -> SurrogateTestReport:
     widths = np.array([r.delta_alpha for r in good])
     h_curves = np.stack([r.h for r in good])
     tau_curves = np.stack([r.tau for r in good])
     alpha_curves = np.stack([r.alpha for r in good])
     f_curves = np.stack([r.f_alpha for r in good])
     ddof = 1 if len(good) > 1 else 0
-    exceed = int(np.sum(widths > delta_alpha_original))
-    p_value = exceed / len(good)
     return SurrogateTestReport(
         scheme=scheme,
         delta_alpha_original=delta_alpha_original,
         mean_surrogate_width=float(widths.mean()),
         std_surrogate_width=float(widths.std(ddof=1)) if len(good) > 1 else 0.0,
-        p_value=p_value,
+        p_value=int(np.sum(widths > delta_alpha_original)) / len(good),
         n_surrogates=len(good),
         excluded=excluded,
-        master_seed=master_seed,
-        significance_level=level,
-        intrinsic_candidate=bool(p_value < level),
         widths=widths,
         h_mean=h_curves.mean(axis=0),
         h_std=h_curves.std(axis=0, ddof=ddof),

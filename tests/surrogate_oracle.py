@@ -66,8 +66,8 @@ def surrogate_ensemble(pair, scheme, n, master_seed, max_iter=1000):
         yield build_member(pair, scheme, k, master_seed, max_iter)
 
 
-def intrinsic_test(pair, scheme, n, master_seed, analysis, level=0.05,
-                   max_iter=1000, delta_alpha_original=None):
+def intrinsic_test(pair, scheme, n, master_seed, analysis, max_iter=1000,
+                   delta_alpha_original=None):
     """One scheme's ensemble, members built and evaluated one by one."""
     def spectrum(xv, yv):
         _, h, stderr, r2 = analyze_pair_reference(xv, yv, analysis)
@@ -99,9 +99,6 @@ def intrinsic_test(pair, scheme, n, master_seed, analysis, level=0.05,
         p_value=p_value,
         n_surrogates=len(good),
         excluded=n - len(good),
-        master_seed=master_seed,
-        significance_level=level,
-        intrinsic_candidate=bool(p_value < level),
         widths=widths,
         h_mean=h_curves.mean(axis=0),
         h_std=h_curves.std(axis=0, ddof=ddof),

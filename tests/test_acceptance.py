@@ -195,7 +195,7 @@ def test_surrogate_test_discrimination():
         t0 = time.time()
         [cascade_rep] = surrogate.intrinsic_tests(
             pair, (SurrogateScheme.IAAFT_X_IAAFT_Y,), 200, 42, config,
-            level=0.10, delta_alpha_original=delta)
+            delta_alpha_original=delta)
         cascade_seconds = time.time() - t0
 
         null_config = DmaConfig()
@@ -208,7 +208,7 @@ def test_surrogate_test_discrimination():
             ndelta = multifractal.joint_spectrum(nh).delta_alpha
             ps = [rep.p_value for rep in surrogate.intrinsic_tests(
                 null_pair, tuple(SurrogateScheme), 60, 9000 + r, null_config,
-                level=0.10, delta_alpha_original=ndelta)]
+                delta_alpha_original=ndelta)]
             clean += all(p > 0.10 for p in ps)
         record(cascade_rep.p_value < 0.10 and cascade_seconds < 300
                and clean >= 8,

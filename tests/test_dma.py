@@ -1,4 +1,7 @@
+import importlib
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,8 +347,9 @@ class TestBatchedKernel:
 
 
 class TestBenchmarkProbes:
-    """The kernel calls and shapes perfbench's probes make: a changed
-    signature fails here, not in a traced benchmark run."""
+    """What perfbench's probes call and its tracer wraps: a changed
+    signature or a renamed function fails here, not in a traced
+    benchmark run."""
 
     def test_probe_calls(self):
         rng = np.random.default_rng(1)
@@ -361,3 +365,14 @@ class TestBenchmarkProbes:
         moments = _accel.q_moments(fv, qs)
         assert moments.shape == qs.shape
         assert np.array_equal(moments, oracle.q_moments(fv, qs))
+
+    def test_traced_names_exist(self):
+        # a traced function that is renamed away reads as no calls, and
+        # its per-layer metrics as 0, without any error
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        traced = runpy.run_path(str(path))["TRACED"]
+        missing = {f"{module}.{name}" for module, name in traced
+                   if not hasattr(importlib.import_module(f"mfxdma.{module}"),
+                                  name)}
+        assert missing == {"surrogate.intrinsic_test",
+                           "surrogate.iaaft_with_iterations"}

@@ -9,8 +9,11 @@ import pytest
 
 from conftest import write_series_csv
 from mfxdma import cli, dma, pipeline, synth
+from mfxdma.dma import FluctuationSurface
+from mfxdma.multifractal import TauNonlinearityReport
 from mfxdma.pipeline import (AnalysisBundle, PipelineError, RunConfig,
-                             emit_plot_data, run_analysis)
+                             emit_plot_data, run_analysis, write_bundle)
+from mfxdma.stats import PolyFitReport, QccReport
 from mfxdma.surrogate import SurrogateScheme
 
 
@@ -227,6 +230,73 @@ class TestEmitPlotData:
         assert header == "q,tau_dev_s1,tau_dev_s2,tau_dev_s3"
 
 
+class TestOutputFormat:
+    """The exact bytes of the tables, from a bundle built by hand."""
+
+    def _bundle(self, **stages):
+        return AnalysisBundle(
+            config=RunConfig(input_x="a.csv", input_y="b.csv", master_seed=0),
+            pair_label="a-b", **stages)
+
+    def test_write_bundle_bytes(self, tmp_path):
+        qcc = QccReport(m_values=np.array([1, 2, 3]),
+                        qcc=np.array([0.1, -0.0, 1e-05]),
+                        critical=np.array([1e16, np.inf, np.nan]),
+                        significance_level=0.05,
+                        reject=np.array([True, False, True]))
+        fit = PolyFitReport(coefficients=np.array([0.1, -0.0, 1e-05]),
+                            std_errors=np.array([1e16, np.inf, np.nan]),
+                            t_stats=np.array([-np.inf, 3.0, 0.0]),
+                            t_pvalues=np.array([0.5, 1.0, np.nan]),
+                            f_stat=1e16, f_pvalue=np.float64(-0.0),
+                            r_squared=0.1)
+        tau_fit = TauNonlinearityReport(fit=fit, significance_level=0.05,
+                                        multifractal_flag=False)
+        write_bundle(self._bundle(qcc=qcc, tau_fit=tau_fit), tmp_path)
+        assert (tmp_path / "qcc.csv").read_bytes() == (
+            b"m,qcc,critical,reject\n"
+            b"1,0.1,1e+16,true\n"
+            b"2,-0.0,inf,false\n"
+            b"3,1e-05,nan,true\n")
+        assert (tmp_path / "tau_fit.csv").read_bytes() == (
+            b"a0,a1,a2,se0,se1,se2,t0,t1,t2,p0,p1,p2,f_stat,f_pvalue,"
+            b"r_squared,multifractal_flag\n"
+            b"0.1,-0.0,1e-05,1e+16,inf,nan,-inf,3.0,0.0,0.5,1.0,nan,1e+16,"
+            b"-0.0,0.1,false\n")
+        assert (tmp_path / "summary.json").read_bytes() == (
+            b'{\n'
+            b'  "pair": "a-b",\n'
+            b'  "qcc": {\n'
+            b'    "level": 0.05,\n'
+            b'    "n_lags": 3,\n'
+            b'    "n_reject": 2\n'
+            b'  },\n'
+            b'  "tau_fit": {\n'
+            b'    "a2": 1e-05,\n'
+            b'    "a2_pvalue": NaN,\n'
+            b'    "multifractal_flag": false\n'
+            b'  }\n'
+            b'}\n')
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "qcc.csv", "summary.json", "tau_fit.csv"]
+
+    def test_fluctuation_row_order(self, tmp_path):
+        surface = FluctuationSurface(
+            scales=np.array([4, 8]), q_grid=np.array([-1.0, 0.0, 2.0]),
+            values=np.array([[1.0, 2.0], [1.5, 2.5], [2.0, 3.0]]))
+        emit_plot_data(self._bundle(surface=surface), tmp_path)
+        # q outer, s inner
+        assert (tmp_path / "fluctuation.csv").read_text() == (
+            "q,s,F\n"
+            "-1.0,4,1.0\n"
+            "-1.0,8,2.0\n"
+            "0.0,4,1.5\n"
+            "0.0,8,2.5\n"
+            "2.0,4,2.0\n"
+            "2.0,8,3.0\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["fluctuation.csv"]
+
+
 class TestCli:
     def test_analyze_end_to_end(self, tmp_path, capsys):
         cascade = tmp_path / "c.csv"
@@ -374,6 +444,10 @@ class TestCli:
         ["analyze", "--surrogates", "-3"],
         ["qcc", "--level", "1.5"],
         ["qcc", "--m-max", "0"],
+        # the ensembles' verdicts come from p_value; surrogate-test takes
+        # no level
+        ["surrogate-test", "--level", "0.1", "--seed", "1", "--surrogates",
+         "2", "--schemes", "3", "--scale-max", "100"],
     ])
     def test_bad_run_config_exits_1_before_any_stage(self, tmp_path, capsys,
                                                      argv):

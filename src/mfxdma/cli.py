@@ -55,7 +55,7 @@ def _parse_schemes(text: str) -> tuple[SurrogateScheme, ...]:
             raise _UsageError(f"unknown scheme {token!r}") from None
     if not out:
         raise _UsageError("empty scheme list")
-    return tuple(dict.fromkeys(out))
+    return tuple(out)
 
 
 def _parse_bool(text: str) -> bool:
@@ -139,6 +139,20 @@ def _add_dma_flags(p: argparse.ArgumentParser) -> None:
                    help="detrend the raw returns instead of their cumulative sum")
 
 
+def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", dest="master_seed", type=int, default=None,
+                   help="master seed of the surrogates")
+    p.add_argument("--surrogates", dest="n_surrogates", type=int,
+                   default=None,
+                   help=f"ensemble size per scheme (default "
+                        f"{RunConfig.n_surrogates}; analyze skips them at 0)")
+    p.add_argument("--schemes", type=_parse_schemes, default=None,
+                   help="comma list of 1,2,3 or names (default all)")
+    p.add_argument("--iaaft-max-iter", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="threads for the ensembles (default: CPU count)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mfxdma", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -148,20 +162,13 @@ def build_parser() -> _Parser:
     pa = sub.add_parser("analyze", help="full pipeline on one pair")
     _add_input_flags(pa)
     _add_dma_flags(pa)
+    _add_ensemble_flags(pa)
     pa.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
-    pa.add_argument("--seed", dest="master_seed", type=int, default=None)
     pa.add_argument("--config", default=None, metavar="FILE",
                     help="key=value or JSON file overriding defaults")
-    pa.add_argument("--surrogates", dest="n_surrogates", type=int,
-                    default=None,
-                    help="ensemble size per scheme (default 1000; 0 skips)")
-    pa.add_argument("--schemes", type=_parse_schemes, default=None,
-                    help="comma list of 1,2,3 or names (default all)")
     pa.add_argument("--level", dest="significance_level", type=float,
                     default=None)
     pa.add_argument("--qcc-m-max", type=int, default=None)
-    pa.add_argument("--iaaft-max-iter", type=int, default=None)
-    pa.add_argument("--workers", type=int, default=None)
 
     pq = sub.add_parser("qcc", help="cross-correlation significance only")
     _add_input_flags(pq)
@@ -181,13 +188,8 @@ def build_parser() -> _Parser:
     pt = sub.add_parser("surrogate-test", help="surrogate ensembles only")
     _add_input_flags(pt)
     _add_dma_flags(pt)
+    _add_ensemble_flags(pt)
     pt.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
-    pt.add_argument("--seed", dest="master_seed", type=int, default=None)
-    pt.add_argument("--surrogates", dest="n_surrogates", type=int,
-                    default=None)
-    pt.add_argument("--schemes", type=_parse_schemes, default=None)
-    pt.add_argument("--iaaft-max-iter", type=int, default=None)
-    pt.add_argument("--workers", type=int, default=None)
 
     pg = sub.add_parser("synth", help="generate oracle series")
     gsub = pg.add_subparsers(dest="generator", metavar="GENERATOR")
@@ -223,7 +225,7 @@ def _merged_config(args, need_seed: bool) -> RunConfig:
         if not overrides.get(required):
             raise _UsageError(f"missing input series ({required.replace('input_', '--')})")
     if "master_seed" not in overrides:
-        if need_seed and overrides.get("n_surrogates", 1000) > 0:
+        if need_seed and overrides.get("n_surrogates", RunConfig.n_surrogates) > 0:
             raise _UsageError("--seed is required when surrogates are generated")
         overrides["master_seed"] = 0
     return RunConfig(**overrides)

@@ -66,6 +66,12 @@ class RunConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        # each scheme once, in the order first given
+        schemes = tuple(dict.fromkeys(SurrogateScheme(s) for s in self.schemes))
+        object.__setattr__(self, "schemes", schemes)
+        if not schemes and self.n_surrogates > 0:
+            raise PipelineError(
+                "schemes must name at least one scheme when n_surrogates > 0")
         if self.workers is not None and self.workers < 1:
             raise PipelineError(f"workers must be >= 1, got {self.workers}")
         if self.n_surrogates < 0:
@@ -220,7 +226,7 @@ def run_analysis(config: RunConfig, write: bool = True,
                 analysis, max_iter=config.iaaft_max_iter, workers=workers,
                 delta_alpha_original=bundle.spectrum.delta_alpha)
         except surrogate.EnsembleFailedError as exc:
-            # the schemes before the failed one are still reported
+            # every scheme that completed is still reported
             bundle.surrogate_tests = exc.completed
             raise
 

@@ -23,10 +23,10 @@ class SurrogateError(ValueError):
 
 
 class EnsembleFailedError(SurrogateError):
-    """No member of a scheme's ensemble completed.
+    """No member of one or more schemes' ensembles completed.
 
-    completed holds the reports of the schemes before it in the
-    requested order, which did complete.
+    The message names every such scheme; completed holds the reports of
+    all the other schemes, in the requested order.
     """
 
     def __init__(self, message: str, completed: list[SurrogateTestReport]):
@@ -214,12 +214,6 @@ def _member_spectra(pairs, config: DmaConfig
 
 
 def default_workers() -> int:
-    env = os.environ.get("MFXDMA_WORKERS", "").strip()
-    if env:
-        w = int(env)
-        if w < 1:
-            raise SurrogateError(f"MFXDMA_WORKERS must be >= 1, got {w}")
-        return w
     return os.cpu_count() or 1
 
 
@@ -236,25 +230,26 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
     requested scheme on it.  Consecutive members form chunks that fit
     one IAAFT batch (see _batch_rows), and each task builds its chunk's
     surrogates in one iaaft_rows call before evaluating the members one
-    by one.  Chunks run concurrently, split so that every worker gets
-    one, and only the chunks in flight hold surrogates; seeds are
-    derived per member, so the outcome depends on neither the chunking
-    nor the worker count.  A member's schemes are evaluated together, in
-    one DMA pass (_member_spectra).  Reports come back in the order of
-    schemes.  Pass delta_alpha_original to reuse an already-computed
-    original width.
+    by one.  Chunks run on a pool of `workers` threads (default: the CPU
+    count), split so that every worker gets one, and only the chunks in
+    flight hold surrogates; seeds are derived per member, so the outcome
+    depends on neither the chunking nor the worker count.  A member's
+    schemes are evaluated together, in one DMA pass (_member_spectra).
+    Reports come back in the order of schemes.  Every scheme is reduced
+    before EnsembleFailedError names those with no completed member.
+    Pass delta_alpha_original to reuse an already-computed original
+    width.
     """
     schemes = tuple(SurrogateScheme(s) for s in schemes)
     if not schemes:
         raise SurrogateError("need at least one scheme")
+    if len(set(schemes)) < len(schemes):
+        raise SurrogateError(f"repeated scheme in {[s.value for s in schemes]}")
     if n < 1:
         raise SurrogateError(f"need n >= 1, got {n}")
     if delta_alpha_original is None:
-        [original] = _member_spectra([(pair.x.values, pair.y.values)],
-                                     analysis)
-        if isinstance(original, DegenerateSegmentError):
-            raise original
-        delta_alpha_original = original.delta_alpha
+        _, hurst = dma.analyze_pair(pair.x.values, pair.y.values, analysis)
+        delta_alpha_original = joint_spectrum(hurst).delta_alpha
     if workers is None:
         workers = default_workers()
     originals = (pair.x.values, pair.y.values)
@@ -262,45 +257,49 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
              enumerate((any(s.replaces_x for s in schemes),
                         any(s.replaces_y for s in schemes))) if needed]
 
-    def chunk(ks: range) -> list[list[JointSpectrumResult | None]]:
+    def chunk(ks: range
+              ) -> list[list[JointSpectrumResult | DegenerateSegmentError]]:
         rows = np.repeat([originals[side] for side in sides], len(ks), axis=0)
         seeds = [_member_seed(master_seed, k, side) for side in sides
                  for k in ks]
         bank, _ = iaaft_rows(rows, seeds, max_iter)
         built = dict(zip(sides, np.split(bank, len(sides))))
-        results = []
-        for i, k in enumerate(ks):
-            xs, ys = (built[side][i] if side in built else None
+        members = []
+        for i in range(len(ks)):
+            # one array object per side, so that the member's DMA pass
+            # detrends each surrogate once for all its schemes
+            xs, ys = (built[side][i] if side in built else originals[side]
                       for side in (0, 1))
-            spectra = _member_spectra(
+            members.append(_member_spectra(
                 [(xs if scheme.replaces_x else originals[0],
                   ys if scheme.replaces_y else originals[1])
-                 for scheme in schemes], analysis)
-            for j, (scheme, spec) in enumerate(zip(schemes, spectra)):
-                if isinstance(spec, DegenerateSegmentError):
-                    log.warning("surrogate member %d excluded from scheme %d: "
-                                "%s", k, scheme.value, spec)
-                    spectra[j] = None
-            results.append(spectra)
-        return results
+                 for scheme in schemes], analysis))
+        return members
 
-    chunks = _member_chunks(n, len(sides), pair.n, workers)
-    if workers == 1:
-        done = [chunk(ks) for ks in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(chunk, chunks))
-    results = [spectra for part in done for spectra in part]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(chunk, _member_chunks(n, len(sides), pair.n, workers))
+        results = [spectra for part in parts for spectra in part]
     # completion order never matters: each scheme is reduced in member order
     reports: list[SurrogateTestReport] = []
+    failed: list[str] = []
     for i, scheme in enumerate(schemes):
-        good = [r[i] for r in results if r[i] is not None]
-        if not good:
-            raise EnsembleFailedError(
-                f"every surrogate member failed under scheme {scheme.value}; "
-                "cannot form a p-value", reports)
-        reports.append(_report(scheme, good, n - len(good),
-                               float(delta_alpha_original)))
+        good = []
+        for k, spectra in enumerate(results):
+            if isinstance(spectra[i], DegenerateSegmentError):
+                log.warning("surrogate member %d excluded from scheme %d: %s",
+                            k, scheme.value, spectra[i])
+            else:
+                good.append(spectra[i])
+        if good:
+            reports.append(_report(scheme, good, n - len(good),
+                                   float(delta_alpha_original)))
+        else:
+            failed.append(str(scheme.value))
+    if failed:
+        which = "scheme" if len(failed) == 1 else "schemes"
+        raise EnsembleFailedError(
+            f"every surrogate member failed under {which} {', '.join(failed)}; "
+            "cannot form a p-value", reports)
     return reports
 
 

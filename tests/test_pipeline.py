@@ -60,6 +60,20 @@ class TestRunConfig:
         assert d.scale_min == 12 and d.scale_max == 200 and d.n_scales == 7
         assert not d.use_profile
 
+    def test_schemes_converted_and_deduplicated(self):
+        cfg = RunConfig(input_x="a", input_y="b", master_seed=0,
+                        schemes=(3, SurrogateScheme.IAAFT_X_ORIG_Y, 3, 1))
+        assert cfg.schemes == (SurrogateScheme.IAAFT_X_IAAFT_Y,
+                               SurrogateScheme.IAAFT_X_ORIG_Y)
+
+    def test_empty_schemes_rejected_with_surrogates(self):
+        with pytest.raises(PipelineError, match="schemes"):
+            RunConfig(input_x="a", input_y="b", master_seed=0, schemes=(),
+                      n_surrogates=2)
+        # nothing to run, nothing to name
+        RunConfig(input_x="a", input_y="b", master_seed=0, schemes=(),
+                  n_surrogates=0)
+
     @pytest.mark.parametrize("field, value", [
         ("workers", 0),
         ("n_surrogates", -3),
@@ -97,11 +111,13 @@ class TestRunAnalysis:
         assert (out / "surrogate_iaaft_x_iaaft_y.csv").exists()
         assert (out / "figdata" / "width_hist_iaaft_x_iaaft_y.csv").exists()
 
-    def test_failed_scheme_keeps_earlier_schemes(self, tmp_path, monkeypatch):
+    def test_failed_scheme_keeps_other_schemes(self, tmp_path, monkeypatch,
+                                               capsys):
         from mfxdma import surrogate
 
         real = surrogate._member_spectra
-        pair = pipeline.load_pair(_config(tmp_path))
+        config = _config(tmp_path, n_surrogates=2)
+        pair = pipeline.load_pair(config)
 
         def fail_scheme2(pairs, config):
             # original x: scheme 2
@@ -110,15 +126,43 @@ class TestRunAnalysis:
                     for (xv, _), spectrum in zip(pairs, real(pairs, config))]
 
         monkeypatch.setattr(surrogate, "_member_spectra", fail_scheme2)
-        config = _config(tmp_path, n_surrogates=2, schemes=tuple(SurrogateScheme))
         bundle = run_analysis(config)
         assert not bundle.stages[-1].ok
         assert bundle.stages[-1].error.startswith("EnsembleFailedError")
         assert [r.scheme for r in bundle.surrogate_tests] == [
-            SurrogateScheme.IAAFT_X_ORIG_Y]
+            SurrogateScheme.IAAFT_X_ORIG_Y, SurrogateScheme.IAAFT_X_IAAFT_Y]
         out = Path(config.out_dir)
         assert sorted(p.name for p in out.glob("surrogate_*.csv")) == [
-            "surrogate_iaaft_x_orig_y.csv"]
+            "surrogate_iaaft_x_iaaft_y.csv", "surrogate_iaaft_x_orig_y.csv"]
+        # the same run from the command line: the stage failed, exit 2
+        cli_out = tmp_path / "cli"
+        assert cli.main(["analyze", "--x", config.input_x,
+                         "--y", config.input_y, "--seed", "5",
+                         "--surrogates", "2", "--schemes", "1,2,3",
+                         "--scale-min", "8", "--scale-max", "120",
+                         "--n-scales", "10", "--qcc-m-max", "50",
+                         "--out", str(cli_out)]) == 2
+        for name in ("surrogate_iaaft_x_orig_y.csv",
+                     "surrogate_iaaft_x_iaaft_y.csv"):
+            assert (cli_out / name).read_bytes() == (out / name).read_bytes()
+        prov = json.loads((cli_out / "provenance.json").read_text())
+        assert prov["stages"][-1]["name"] == "surrogates"
+        assert not prov["stages"][-1]["ok"]
+
+    def test_integer_schemes_write_provenance(self, tmp_path):
+        config = _config(tmp_path, n_surrogates=2, schemes=(3, 1))
+        bundle = run_analysis(config)
+        assert bundle.complete
+        prov = json.loads((Path(config.out_dir) / "provenance.json").read_text())
+        assert prov["config"]["schemes"] == ["IAAFT_X_IAAFT_Y", "IAAFT_X_ORIG_Y"]
+        assert [r.scheme for r in bundle.surrogate_tests] == [
+            SurrogateScheme.IAAFT_X_IAAFT_Y, SurrogateScheme.IAAFT_X_ORIG_Y]
+
+    def test_repeated_scheme_runs_once(self, tmp_path):
+        s1 = SurrogateScheme.IAAFT_X_ORIG_Y
+        bundle = run_analysis(_config(tmp_path, n_surrogates=2,
+                                      schemes=(s1, s1)))
+        assert [r.scheme for r in bundle.surrogate_tests] == [s1]
 
     def test_skipping_surrogates_leaves_other_numbers_alone(self, tmp_path):
         c1 = _config(tmp_path, out_dir=str(tmp_path / "o1"))
@@ -457,16 +501,6 @@ class TestCli:
         if argv[0] == "analyze":
             argv = argv + ["--seed", "1", "--scale-max", "100"]
         assert cli.main([argv[0], "--x", str(x), "--y", str(y), *argv[1:],
-                         "--out", str(out)]) == 1
-        assert not out.exists()
-
-    def test_bad_worker_env_exits_1_before_any_stage(self, tmp_path, capsys,
-                                                     monkeypatch):
-        monkeypatch.setenv("MFXDMA_WORKERS", "0")
-        x = _fgn_csv(tmp_path, "x.csv", 600, 11)
-        y = _fgn_csv(tmp_path, "y.csv", 600, 12)
-        out = tmp_path / "o"
-        assert cli.main(["qcc", "--x", str(x), "--y", str(y), "--m-max", "20",
                          "--out", str(out)]) == 1
         assert not out.exists()
 

@@ -7,6 +7,7 @@ from scipy.signal import lfilter
 
 import surrogate_oracle as oracle
 from conftest import make_pair
+from mfxdma import dma
 from mfxdma import surrogate as sg
 from mfxdma.dma import DegenerateSegmentError, DmaConfig
 from mfxdma.surrogate import (EnsembleFailedError, SurrogateError,
@@ -313,7 +314,8 @@ class TestIntrinsicTest:
         assert [r.excluded for r in reports] == [0, 1, 0]
         assert [r.n_surrogates for r in reports] == [4, 3, 4]
 
-    def test_failed_scheme_keeps_earlier_reports(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_scheme_keeps_other_reports(self, monkeypatch, workers):
         pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
 
         def fake(xv, yv, config):
@@ -322,17 +324,37 @@ class TestIntrinsicTest:
             return _fake_spectrum(0.5)
 
         monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
-        with pytest.raises(EnsembleFailedError) as info:
-            intrinsic_tests(pair, (S1, S2, S3), 3, 0, CFG, workers=1,
+        with pytest.raises(EnsembleFailedError,
+                           match="under scheme 2;") as info:
+            intrinsic_tests(pair, (S1, S2, S3), 3, 0, CFG, workers=workers,
                             delta_alpha_original=0.1)
-        assert [r.scheme for r in info.value.completed] == [S1]
+        assert [r.scheme for r in info.value.completed] == [S1, S3]
+        assert [r.n_surrogates for r in info.value.completed] == [3, 3]
+
+    def test_two_failed_schemes_in_one_error(self, monkeypatch):
+        pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
+
+        def fake(xv, yv, config):
+            # an original on either side: schemes 1 and 2 fail, 3 completes
+            if xv is pair.x.values or yv is pair.y.values:
+                raise DegenerateSegmentError("segment 0 degenerate")
+            return _fake_spectrum(0.5)
+
+        monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
+        with pytest.raises(EnsembleFailedError,
+                           match="under schemes 2, 1;") as info:
+            intrinsic_tests(pair, (S2, S3, S1), 3, 0, CFG,
+                            delta_alpha_original=0.1)
+        assert [r.scheme for r in info.value.completed] == [S3]
 
     def test_argument_validation(self):
         pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
         with pytest.raises(SurrogateError):
             intrinsic_tests(pair, (S3,), 0, 0, CFG)
-        with pytest.raises(SurrogateError):
+        with pytest.raises(SurrogateError, match="at least one"):
             intrinsic_tests(pair, (), 3, 0, CFG)
+        with pytest.raises(SurrogateError, match="repeated"):
+            intrinsic_tests(pair, (S1, S3, 1), 3, 0, CFG)
 
     @pytest.mark.parametrize("budget", [None, 400, 1200])
     def test_chunking_and_workers_do_not_change_result(self, monkeypatch,
@@ -400,6 +422,24 @@ class TestIntrinsicTest:
                         delta_alpha_original=0.1)
         assert built["rows"] == per_member * n
 
+    def test_member_surrogates_detrended_once(self, monkeypatch):
+        # schemes 1 and 3 share the x surrogate, 2 and 3 the y surrogate:
+        # a member's pass detrends x, y and its two surrogates, at most
+        # once each per scale
+        pair = make_pair(_ar1(400, 0.4, 5), _ar1(400, 0.4, 6))
+        calls = {"n": 0}
+        real = dma.residuals
+
+        def counting(*args, **kw):
+            calls["n"] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(dma, "residuals", counting)
+        n = 5
+        intrinsic_tests(pair, (S1, S2, S3), n, 3, CFG, workers=1,
+                        delta_alpha_original=0.1)
+        assert 0 < calls["n"] <= 4 * n * CFG.scales().size
+
     def test_report_invariants(self):
         pair = make_pair(_ar1(400, 0.4, 5), _ar1(400, 0.4, 6))
         [report] = intrinsic_tests(pair, (S1,), 5, 3, CFG)
@@ -408,10 +448,3 @@ class TestIntrinsicTest:
         assert 0.0 <= report.p_value <= 1.0
         assert report.n_surrogates == 5
         assert report.h_mean.size == CFG.q_grid.size
-
-    def test_env_worker_override(self, monkeypatch):
-        monkeypatch.setenv("MFXDMA_WORKERS", "3")
-        assert sg.default_workers() == 3
-        monkeypatch.setenv("MFXDMA_WORKERS", "0")
-        with pytest.raises(SurrogateError):
-            sg.default_workers()

@@ -296,16 +296,9 @@ def _write_level_csv(path: str, increments: np.ndarray, scale: float,
     The first row is level 1.0; the standard ingestion (log returns)
     recovers scale*increments exactly.
     """
-    levels = np.exp(scale * np.cumsum(increments))
-    dates = np.datetime64(start_date, "D") + np.arange(levels.size + 1)
-    p = Path(path)
-    if p.parent != Path(""):
-        p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,value\n")
-        fh.write(f"{dates[0]},1.0\n")
-        for d, v in zip(dates[1:], levels):
-            fh.write(f"{d},{float(v)!r}\n")
+    levels = np.concatenate([[1.0], np.exp(scale * np.cumsum(increments))])
+    dates = np.datetime64(start_date, "D") + np.arange(levels.size)
+    pipeline._write_csv(Path(path), {"date": dates, "value": levels})
 
 
 def _cmd_synth(args) -> int:

@@ -50,6 +50,10 @@ class DmaConfig:
             raise DmaError("scale_min must be < scale_max")
         if self.n_scales < 4:
             raise DmaError(f"need n_scales >= 4, got {self.n_scales}")
+        distinct = self.scales().size  # rounding can merge scales
+        if distinct < 4:
+            raise DmaError(f"need >= 4 distinct scales, got {distinct} "
+                           f"in [{self.scale_min}, {self.scale_max}]")
         q = np.asarray(self.q_grid, dtype=np.float64)
         if q.ndim != 1 or q.size < 3:
             raise DmaError("q_grid must be a 1-d grid of >= 3 points")

@@ -72,6 +72,9 @@ class RunConfig:
         if not schemes and self.n_surrogates > 0:
             raise PipelineError(
                 "schemes must name at least one scheme when n_surrogates > 0")
+        if self.master_seed < 0:
+            raise PipelineError(
+                f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers is not None and self.workers < 1:
             raise PipelineError(f"workers must be >= 1, got {self.workers}")
         if self.n_surrogates < 0:
@@ -87,6 +90,10 @@ class RunConfig:
                                 f"{self.significance_level}")
 
     def q_grid(self) -> np.ndarray:
+        for name in ("q_min", "q_max", "q_step"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise PipelineError(f"{name} must be finite, got {value}")
         if self.q_step <= 0:
             raise PipelineError(f"q_step must be positive, got {self.q_step}")
         span = self.q_max - self.q_min

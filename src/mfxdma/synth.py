@@ -21,22 +21,21 @@ def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
 def fgn(n: int, hurst: float, seed: int) -> np.ndarray:
     """Stationary fractional Gaussian noise with unit variance.
 
-    Exact circulant-embedding synthesis; if the embedding produces a
-    materially negative eigenvalue the generator falls back to a direct
-    Cholesky construction for n <= 4096 and errors beyond that.
+    Exact synthesis by the standard Davies-Harte circulant embedding
+    (Biometrika 74:95, 1987), whose eigenvalues are non-negative for
+    every H in (0, 1); there is no size limit.
     """
     if n < 16:
         raise SynthError(f"need n >= 16, got {n}")
     if not (0.0 < hurst < 1.0):
         raise SynthError(f"hurst must lie in (0,1), got {hurst}")
-    gamma = _fgn_autocov(n, hurst)
-    rng = np.random.default_rng(seed)
-    # first row of the 2n circulant extension
-    row = np.concatenate([gamma, [0.0], gamma[:0:-1]])
-    lam = np.fft.fft(row).real
+    # first row of the 2n circulant: gamma(0..n), then gamma(n-1..1)
+    gamma = _fgn_autocov(n + 1, hurst)
+    lam = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     if lam.min() < -1e-8 * lam.max():
-        return _fgn_cholesky(n, gamma, rng)
+        raise SynthError(f"circulant embedding failed for n={n}, hurst={hurst}")
     lam = np.maximum(lam, 0.0)
+    rng = np.random.default_rng(seed)
     m = 2 * n
     z = rng.standard_normal(m)
     w = np.empty(m, dtype=np.complex128)
@@ -46,17 +45,6 @@ def fgn(n: int, hurst: float, seed: int) -> np.ndarray:
     w[1:n] = half * (z[1:n] + 1j * z[n + 1 :])
     w[n + 1 :] = np.conj(w[1:n][::-1])
     return np.fft.fft(w).real[:n]
-
-
-def _fgn_cholesky(n: int, gamma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if n > 4096:
-        raise SynthError(
-            f"circulant embedding failed and n={n} is too large for the dense fallback"
-        )
-    idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    cov = gamma[idx]
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n)
 
 
 @dataclass(frozen=True)

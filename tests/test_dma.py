@@ -234,6 +234,9 @@ class TestDmaConfig:
     def test_n_scales_minimum(self):
         with pytest.raises(DmaError):
             DmaConfig(n_scales=3)
+        # four log-spaced points round to the three scales 10, 11, 12
+        with pytest.raises(DmaError, match="distinct scales"):
+            DmaConfig(scale_min=10, scale_max=12, n_scales=4)
 
 
 class TestSurfaceInvariants:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,15 @@ class TestRunConfig:
         with pytest.raises(PipelineError):
             cfg.q_grid()
 
+    @pytest.mark.parametrize("field, value", [
+        ("q_min", -math.inf), ("q_max", math.inf), ("q_step", math.nan),
+    ])
+    def test_non_finite_q_bound_named(self, field, value):
+        cfg = RunConfig(**{"input_x": "a", "input_y": "b", "master_seed": 0,
+                           field: value})
+        with pytest.raises(PipelineError, match=field):
+            cfg.q_grid()
+
     def test_dma_config_mirrors_fields(self):
         cfg = RunConfig(input_x="a", input_y="b", master_seed=0,
                         theta=0.25, scale_min=12, scale_max=200, n_scales=7,
@@ -79,12 +89,14 @@ class TestRunConfig:
         ("n_surrogates", -3),
         ("iaaft_max_iter", 0),
         ("qcc_m_max", 0),
+        ("master_seed", -1),
         ("significance_level", 0.0),
         ("significance_level", 1.5),
     ])
     def test_bad_numbers_rejected(self, field, value):
         with pytest.raises(PipelineError, match=field):
-            RunConfig(input_x="a", input_y="b", master_seed=0, **{field: value})
+            RunConfig(**{"input_x": "a", "input_y": "b", "master_seed": 0,
+                         field: value})
 
 
 class TestRunAnalysis:
@@ -492,6 +504,11 @@ class TestCli:
         # no level
         ["surrogate-test", "--level", "0.1", "--seed", "1", "--surrogates",
          "2", "--schemes", "3", "--scale-max", "100"],
+        ["analyze", "--seed", "-1", "--surrogates", "2"],
+        ["analyze", "--q-min=-inf", "--surrogates", "0"],
+        # rounding leaves 3 distinct scales, 10, 11 and 12
+        ["analyze", "--scale-min", "10", "--scale-max", "12",
+         "--n-scales", "4", "--surrogates", "0"],
     ])
     def test_bad_run_config_exits_1_before_any_stage(self, tmp_path, capsys,
                                                      argv):
@@ -499,7 +516,9 @@ class TestCli:
         y = _fgn_csv(tmp_path, "y.csv", 600, 12)
         out = tmp_path / "o"
         if argv[0] == "analyze":
-            argv = argv + ["--seed", "1", "--scale-max", "100"]
+            for flag, value in (("--seed", "1"), ("--scale-max", "100")):
+                if flag not in argv:
+                    argv = argv + [flag, value]
         assert cli.main([argv[0], "--x", str(x), "--y", str(y), *argv[1:],
                          "--out", str(out)]) == 1
         assert not out.exists()
@@ -565,15 +584,17 @@ class TestCli:
         assert [s["name"] for s in prov["stages"]] == stages
         assert all(s["ok"] for s in prov["stages"])
 
-    def test_synth_fgn_roundtrip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n, hurst", [(300, 0.6), (6065, 0.95)])
+    def test_synth_fgn_roundtrip(self, tmp_path, capsys, n, hurst):
         out = tmp_path / "g.csv"
-        assert cli.main(["synth", "fgn", "--n", "300", "--hurst", "0.6",
+        assert cli.main(["synth", "fgn", "--n", str(n), "--hurst", str(hurst),
                          "--seed", "4", "--out", str(out)]) == 0
+        assert out.read_text().startswith("date,value\n2000-01-01,1.0\n")
         from mfxdma.series import load_csv, log_returns
 
         returns = log_returns(load_csv(out))
         np.testing.assert_allclose(returns.values,
-                                   0.01 * synth.fgn(300, 0.6, 4), atol=1e-12)
+                                   0.01 * synth.fgn(n, hurst, 4), atol=1e-12)
 
     def test_synth_fgn_requires_seed(self, tmp_path, capsys):
         assert cli.main(["synth", "fgn", "--n", "300", "--hurst", "0.6",

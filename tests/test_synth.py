@@ -3,8 +3,7 @@ import pytest
 
 from mfxdma.dma import DmaConfig, analyze_pair
 from mfxdma.synth import (CascadeSpec, SynthError, _fgn_autocov,
-                          _fgn_cholesky, analytic_cascade_tau,
-                          binomial_cascade, fgn)
+                          analytic_cascade_tau, binomial_cascade, fgn)
 
 
 class TestFgn:
@@ -45,21 +44,11 @@ class TestFgn:
             estimates.append(hc.h[np.nonzero(hc.q_grid == 2.0)[0][0]])
         assert abs(np.mean(estimates) - 0.8) < 0.05
 
-    def test_cholesky_fallback_statistics(self):
-        h = 0.6
-        gamma = _fgn_autocov(256, h)
-        acc0 = 0.0
-        acc1 = 0.0
-        for seed in range(100):
-            g = _fgn_cholesky(256, gamma, np.random.default_rng(seed))
-            acc0 += g.var()
-            acc1 += np.dot(g[:-1], g[1:]) / 255
-        assert abs(acc0 / 100 - 1.0) < 0.05
-        assert abs(acc1 / 100 - gamma[1]) < 0.05
-
-    def test_cholesky_fallback_size_limit(self):
-        with pytest.raises(SynthError, match="too large"):
-            _fgn_cholesky(5000, _fgn_autocov(5000, 0.5), np.random.default_rng(0))
+    def test_every_hurst_embeds(self):
+        # the embedding holds up to H near 1 at any length, with no size limit
+        for n in (16, 4097, 6065):
+            for hurst in np.round(np.arange(0.01, 1.0, 0.02), 2):
+                assert np.all(np.isfinite(fgn(n, hurst, 3))), (n, hurst)
 
     def test_input_validation(self):
         with pytest.raises(SynthError):

@@ -294,14 +294,24 @@ def _write_level_csv(path: str, increments: np.ndarray, scale: float,
     """Integrate increments into a positive level series and save it.
 
     The first row is level 1.0; the standard ingestion (log returns)
-    recovers scale*increments exactly.
+    recovers scale*increments exactly.  A scale that leaves any level
+    non-finite or non-positive is refused before anything is written.
     """
-    levels = np.concatenate([[1.0], np.exp(scale * np.cumsum(increments))])
+    if not np.isfinite(scale):
+        raise synth.SynthError(f"--scale must be finite, got {scale}")
+    with np.errstate(over="ignore"):
+        levels = np.concatenate([[1.0], np.exp(scale * np.cumsum(increments))])
+    if not np.all(np.isfinite(levels) & (levels > 0.0)):
+        raise synth.SynthError(
+            f"--scale {scale} takes the levels outside the positive finite "
+            "floats; choose a --scale nearer 0")
     dates = np.datetime64(start_date, "D") + np.arange(levels.size)
     pipeline._write_csv(Path(path), {"date": dates, "value": levels})
 
 
 def _cmd_synth(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise synth.SynthError(f"--seed must be >= 0, got {args.seed}")
     if args.generator == "fgn":
         if args.seed is None:
             raise _UsageError("--seed is required for fgn")

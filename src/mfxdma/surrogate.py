@@ -108,6 +108,8 @@ def iaaft_rows(rows: np.ndarray, seeds, max_iter: int = 1000
     Row i of the result, and its iteration count, are bit-identical to
     those of rows[i] alone with seeds[i]: the rows share only the FFT and
     sort calls, never data.  Rows run in batches of _batch_rows(n).
+    Each iterate is ranked by its stable sort order (_sort_order): one
+    plain argsort, with a stable sort again only for rows holding a tie.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(seeds):
@@ -144,8 +146,7 @@ def _iaaft_batch(x: np.ndarray, seeds, max_iter: int, out: np.ndarray,
         # smallest entry sits.  Two rank vectors are equal exactly when
         # their inverse permutations (the sort orders) are.
         prev = order
-        order = (np.argsort(cur, axis=1, kind="stable") if prev is None
-                 else _warm_order(cur, prev))
+        order = _sort_order(cur)
         np.put_along_axis(cur, order, sorted_vals, axis=1)
         if prev is None:
             continue
@@ -179,20 +180,17 @@ def _impose_amplitudes(cur: np.ndarray, target_amp: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=cur.shape[1], axis=1)
 
 
-def _warm_order(c: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """argsort(c, axis=1, kind="stable"), started from the last order.
+def _sort_order(c: np.ndarray) -> np.ndarray:
+    """argsort(c, axis=1, kind="stable"), by numpy's default sort.
 
-    Sorting c[prev], which is nearly sorted once the iteration settles,
-    takes timsort close to linear time, and prev[that order] is the
-    stable argsort of c whenever a row holds no two equal values.  Rows
-    that do (-0.0 == 0.0 included) are sorted again from scratch.
+    A row with no two equal values has exactly one ascending order, which
+    every sort returns.  Rows that hold a tie (-0.0 == 0.0 included) are
+    sorted again stably.
     """
-    gathered = np.take_along_axis(c, prev, axis=1)
-    step = np.argsort(gathered, axis=1, kind="stable")
-    gathered = np.take_along_axis(gathered, step, axis=1)
-    tied = np.flatnonzero(np.any(gathered[:, 1:] == gathered[:, :-1], axis=1))
-    del gathered
-    order = np.take_along_axis(prev, step, axis=1)
+    order = np.argsort(c, axis=1)
+    ranked = np.take_along_axis(c, order, axis=1)
+    tied = np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1))
+    del ranked
     for r in tied:
         order[r] = np.argsort(c[r], kind="stable")
     return order

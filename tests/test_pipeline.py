@@ -600,6 +600,27 @@ class TestCli:
         assert cli.main(["synth", "fgn", "--n", "300", "--hurst", "0.6",
                          "--out", str(tmp_path / "g.csv")]) == 1
 
+    # nan and inf are not scales; +-1000 overflow or underflow exp
+    @pytest.mark.parametrize("scale", ["nan", "inf", "1000", "-1000"])
+    def test_synth_bad_scale_named(self, tmp_path, caplog, scale):
+        out = tmp_path / "g.csv"
+        assert cli.main(["synth", "fgn", "--n", "300", "--hurst", "0.5",
+                         "--seed", "1", f"--scale={scale}",
+                         "--out", str(out)]) == 1
+        assert "--scale" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator", [
+        ["fgn", "--n", "300", "--hurst", "0.5"],
+        ["cascade", "--p", "0.3", "--levels", "8", "--shuffle"],
+    ])
+    def test_synth_negative_seed_named(self, tmp_path, caplog, generator):
+        out = tmp_path / "g.csv"
+        assert cli.main(["synth", *generator, "--seed", "-1",
+                         "--out", str(out)]) == 1
+        assert "--seed must be >= 0, got -1" in caplog.text
+        assert not out.exists()
+
     def test_scheme_parsing(self):
         assert cli._parse_schemes("1,3") == (
             SurrogateScheme.IAAFT_X_ORIG_Y, SurrogateScheme.IAAFT_X_IAAFT_Y)

@@ -7,7 +7,7 @@ from scipy.signal import lfilter
 
 import surrogate_oracle as oracle
 from conftest import make_pair
-from mfxdma import dma
+from mfxdma import dma, synth
 from mfxdma import surrogate as sg
 from mfxdma.dma import DegenerateSegmentError, DmaConfig
 from mfxdma.surrogate import (EnsembleFailedError, SurrogateError,
@@ -160,8 +160,8 @@ class TestIaaftRows:
             assert f"seed={seed})" in message and f"max_iter={max_iter}" in message
 
     def test_ties_fall_back_to_a_full_sort(self):
-        # every iterate of this tiled series holds exact ties, so the
-        # warm-started sort is redone from scratch on every row
+        # every iterate of this tiled series holds exact ties, so every
+        # row is sorted again stably after the plain argsort
         tiled = np.tile(np.round(np.random.default_rng(23).standard_t(3, 150),
                                  1), 4)
         _assert_rows_match_reference(np.stack([tiled] * 4), [0, 1, 7, 12345],
@@ -182,15 +182,19 @@ class TestIaaftRows:
             assert np.array_equal(part, whole)
             assert np.array_equal(part_iters, whole_iters)
 
-    def test_warm_order_is_the_stable_argsort(self):
+    def test_cascade_rows(self):
+        # binomial cascade masses, the input of the long benchmark run:
+        # 15 distinct values over 2^14 cells
+        masses = synth.binomial_cascade(synth.CascadeSpec(levels=14, p=0.3))
+        _assert_rows_match_reference(np.stack([masses, masses]), [0, 1], 1000)
+
+    def test_sort_order_is_the_stable_argsort(self):
         rng = np.random.default_rng(37)
-        c = rng.standard_normal((3, 50))
+        c = rng.standard_normal((3, 50))  # row 0 holds no tie
         c[1, [4, 9]] = 0.0, -0.0  # a signed-zero tie
         c[2, [5, 6, 30]] = 1.5    # a three-way tie
-        want = np.argsort(c, axis=1, kind="stable")
-        # starting from the reversed order meets every tie backwards
-        prev = np.ascontiguousarray(want[:, ::-1])
-        assert np.array_equal(sg._warm_order(c, prev), want)
+        assert np.array_equal(sg._sort_order(c),
+                              np.argsort(c, axis=1, kind="stable"))
 
     def test_validation(self):
         with pytest.raises(SurrogateError):

@@ -22,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline, series, synth
-from .pipeline import AnalysisBundle, PipelineError, RunConfig
+from .pipeline import AnalysisBundle, RunConfig
 from .surrogate import SurrogateScheme
 
 log = logging.getLogger(__name__)
 
 
-class _UsageError(Exception):
+class _UsageError(argparse.ArgumentTypeError):  # a type= error names its flag
     pass
 
 
@@ -36,7 +36,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise _UsageError(message)
 
 
@@ -84,8 +83,8 @@ def _load_config_file(path: str) -> dict:
     """Accept JSON or key=value lines; keys mirror the run-config fields."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise _UsageError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -94,8 +93,8 @@ def _load_config_file(path: str) -> dict:
             raise _UsageError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise _UsageError(f"{path}: top-level JSON must be an object")
-        items = {k: str(v) if not isinstance(v, (list, tuple)) else
-                 ",".join(str(x) for x in v) for k, v in raw.items()}
+        items = {k: ",".join(map(str, v)) if isinstance(v, list) else
+                 v if v is None else str(v) for k, v in raw.items()}
     else:
         items = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -110,7 +109,12 @@ def _load_config_file(path: str) -> dict:
     for key, value in items.items():
         if key not in _CONFIG_COERCERS:
             raise _UsageError(f"{path}: unknown config key {key!r}")
-        out[key] = _CONFIG_COERCERS[key](value)
+        if value is None and key != "workers":  # JSON null
+            raise _UsageError(f"{path}: {key}: null is allowed only for workers")
+        try:
+            out[key] = None if value is None else _CONFIG_COERCERS[key](value)
+        except (ValueError, _UsageError) as exc:
+            raise _UsageError(f"{path}: {key}: {exc}") from None
     return out
 
 
@@ -295,7 +299,8 @@ def _write_level_csv(path: str, increments: np.ndarray, scale: float,
 
     The first row is level 1.0; the standard ingestion (log returns)
     recovers scale*increments exactly.  A scale that leaves any level
-    non-finite or non-positive is refused before anything is written.
+    non-finite or non-positive, or a start date that is no YYYY-MM-DD day
+    or runs past 9999-12-31, is refused before anything is written.
     """
     if not np.isfinite(scale):
         raise synth.SynthError(f"--scale must be finite, got {scale}")
@@ -305,25 +310,30 @@ def _write_level_csv(path: str, increments: np.ndarray, scale: float,
         raise synth.SynthError(
             f"--scale {scale} takes the levels outside the positive finite "
             "floats; choose a --scale nearer 0")
-    dates = np.datetime64(start_date, "D") + np.arange(levels.size)
+    start, _ = series._iso_days([start_date])  # the loader's day parser
+    dates = None if start is None else start[0] + np.arange(levels.size)
+    if dates is None or dates[-1] > np.datetime64("9999-12-31"):
+        raise synth.SynthError(
+            f"--start-date must be a YYYY-MM-DD day whose {levels.size} dates "
+            f"end by 9999-12-31, got {start_date!r}")
     pipeline._write_csv(Path(path), {"date": dates, "value": levels})
 
 
 def _cmd_synth(args) -> int:
+    if args.generator is None:
+        raise _UsageError("choose a generator: fgn or cascade")
     if args.seed is not None and args.seed < 0:
         raise synth.SynthError(f"--seed must be >= 0, got {args.seed}")
     if args.generator == "fgn":
         if args.seed is None:
             raise _UsageError("--seed is required for fgn")
         values = synth.fgn(args.n, args.hurst, args.seed)
-    elif args.generator == "cascade":
+    else:
         if args.shuffle and args.seed is None:
             raise _UsageError("--seed is required with --shuffle")
         spec = synth.CascadeSpec(levels=args.levels, p=args.p,
                                  seed=args.seed or 0, shuffle=args.shuffle)
         values = synth.binomial_cascade(spec)
-    else:
-        raise _UsageError("choose a generator: fgn or cascade")
     _write_level_csv(args.out, values, args.scale, args.start_date)
     print(f"wrote {args.out} ({values.size + 1} rows)")
     return 0
@@ -344,11 +354,13 @@ def main(argv=None) -> int:
         )
         if args.command is None:
             parser.print_usage(sys.stderr)
-            return 1
+            raise _UsageError("choose a command")
         return _COMMANDS[args.command](args)
-    except _UsageError:
+    except _UsageError as exc:
+        # logging is not configured while argparse runs
+        sys.stderr.write(f"mfxdma: error: {exc}\n")
         return 1
-    except (series.SeriesError, PipelineError, ValueError) as exc:
+    except ValueError as exc:
         # bad input or config, raised before any stage runs
         log.error("%s", exc)
         return 1

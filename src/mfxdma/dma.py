@@ -136,45 +136,40 @@ def residuals(z: np.ndarray, s: int, theta: float,
     return z[back : back + means.size] - means
 
 
-def fluctuation_surfaces(pairs, config: DmaConfig
+def fluctuation_surfaces(series, pairs, config: DmaConfig
                          ) -> list[FluctuationSurface | DegenerateSegmentError]:
-    """F_xy(q,s) of several (x, y) pairs of detrendable inputs (profiles
-    already applied), in one pass over the scales.
+    """F_xy(q,s) of several pairs of detrendable inputs (profiles already
+    applied), in one pass over the scales.
 
-    Pairs may share an input array.  Each distinct array gets its running
-    sum once and its residuals once per scale, whichever pairs use it, so
-    a surface is bit-identical to that of its pair alone.  Residual range
-    is cut into floor((N-s+1)/s) segments of exactly s points starting at
-    the first valid position; the trailing remainder is discarded.  A
-    pair with a zero segment fluctuation gets a DegenerateSegmentError in
-    place of its surface and drops out of the later scales.
+    Each pair is (i, j), indices into series.  Every series that a pair
+    uses gets its running sum once and its residuals once per scale,
+    whichever pairs use it, so a surface is bit-identical to that of its
+    pair alone.  Residual range is cut into floor((N-s+1)/s) segments of
+    exactly s points starting at the first valid position; the trailing
+    remainder is discarded.  A pair with a zero segment fluctuation gets
+    a DegenerateSegmentError in place of its surface and drops out of the
+    later scales.
     """
-    inputs: list[np.ndarray] = []
-    slot: dict[int, int] = {}
-    legs = []
-    for pair in pairs:
-        for z in pair:
-            if id(z) not in slot:
-                slot[id(z)] = len(inputs)
-                inputs.append(np.asarray(z, dtype=np.float64))
-        legs.append(tuple(slot[id(z)] for z in pair))
-    n = inputs[0].size
-    if any(z.size != n for z in inputs):
+    inputs = {i: np.asarray(series[i], dtype=np.float64)
+              for i in sorted({i for pair in pairs for i in pair})}
+    sizes = {z.size for z in inputs.values()}
+    if len(sizes) > 1:
         raise DmaError("series lengths differ")
-    sums = [_accel.running_sums(z) for z in inputs]
+    n = sizes.pop()
+    sums = {i: _accel.running_sums(z) for i, z in inputs.items()}
     scales = config.scales()
     q_grid = config.q_grid
-    values = [np.empty((q_grid.size, scales.size)) for _ in legs]
-    out: list = [None] * len(legs)
-    live = list(range(len(legs)))
+    values = [np.empty((q_grid.size, scales.size)) for _ in pairs]
+    out: list = [None] * len(pairs)
+    live = list(range(len(pairs)))
     for j, s in enumerate(scales.tolist()):
         det = {i: residuals(inputs[i], s, config.theta, sums[i])
-               for i in sorted({i for p in live for i in legs[p]})}
+               for i in sorted({i for p in live for i in pairs[p]})}
         n_seg = (n - s + 1) // s
         if n_seg < 1:
             raise DmaError(f"no complete segment of size {s} in {n - s + 1} residuals")
         for p in tuple(live):
-            ix, iy = legs[p]
+            ix, iy = pairs[p]
             fvs = _accel.segment_products(det[ix], det[iy], s, n_seg)
             zeros = np.flatnonzero(fvs == 0.0)
             if zeros.size:
@@ -194,7 +189,7 @@ def fluctuation_surfaces(pairs, config: DmaConfig
 def fluctuation_surface(x_det: np.ndarray, y_det: np.ndarray,
                         config: DmaConfig) -> FluctuationSurface:
     """F_xy(q,s) for detrendable inputs (profiles already applied)."""
-    [surface] = fluctuation_surfaces([(x_det, y_det)], config)
+    [surface] = fluctuation_surfaces([x_det, y_det], [(0, 1)], config)
     if isinstance(surface, DegenerateSegmentError):
         raise surface
     return surface
@@ -229,34 +224,28 @@ def _detrendable(values: np.ndarray, config: DmaConfig) -> np.ndarray:
 def analyze_pair(x_values: np.ndarray, y_values: np.ndarray,
                  config: DmaConfig) -> tuple[FluctuationSurface, HurstCurve]:
     """End-to-end scaling analysis of one return pair."""
-    x_values = np.asarray(x_values, dtype=np.float64)
-    y_values = np.asarray(y_values, dtype=np.float64)
-    if x_values.size != y_values.size:
+    zx, zy = _detrendable(x_values, config), _detrendable(y_values, config)
+    if zx.size != zy.size:
         raise DmaError("series lengths differ")
-    config.validate_for_length(x_values.size)
-    zx = _detrendable(x_values, config)
-    zy = zx if y_values is x_values else _detrendable(y_values, config)
+    config.validate_for_length(zx.size)
     surface = fluctuation_surface(zx, zy, config)
     return surface, hurst_curve(surface)
 
 
-def analyze_pairs(pairs, config: DmaConfig
+def analyze_pairs(series, pairs, config: DmaConfig
                   ) -> list[tuple[FluctuationSurface, HurstCurve]
                             | DegenerateSegmentError]:
-    """analyze_pair of several (x, y) return pairs in one pass over the
-    scales (see fluctuation_surfaces).  Pairs that share a return array
-    share its profile and its residuals; a pair whose fluctuation
+    """analyze_pair of several return pairs, each (i, j) indices into
+    series, in one pass over the scales (see fluctuation_surfaces).  Each
+    series that a pair uses is profiled once; a pair whose fluctuation
     degenerates gets its DegenerateSegmentError in place of a result.
     """
-    det: dict[int, np.ndarray] = {}
-    for v in (v for pair in pairs for v in pair):
-        if id(v) not in det:
-            det[id(v)] = _detrendable(v, config)
+    det = {i: _detrendable(series[i], config)
+           for i in {i for pair in pairs for i in pair}}
     sizes = {z.size for z in det.values()}
     if len(sizes) > 1:
         raise DmaError("series lengths differ")
     config.validate_for_length(sizes.pop())
-    surfaces = fluctuation_surfaces(
-        [(det[id(x)], det[id(y)]) for x, y in pairs], config)
+    surfaces = fluctuation_surfaces(det, pairs, config)
     return [s if isinstance(s, DegenerateSegmentError) else (s, hurst_curve(s))
             for s in surfaces]

@@ -202,13 +202,13 @@ def _member_seed(master_seed: int, k: int, side: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _member_spectra(pairs, config: DmaConfig
+def _member_spectra(series, pairs, config: DmaConfig
                     ) -> list[JointSpectrumResult | DegenerateSegmentError]:
-    """Joint spectra of one member's (x, y) pairs, one pair per scheme, in
-    one DMA pass: a series that several schemes use is detrended once.
-    A pair whose fluctuation degenerates keeps its error."""
+    """Joint spectra of (i, j) pairs of series, in one DMA pass: a series
+    that several pairs use is detrended once.  A pair whose fluctuation
+    degenerates keeps its error."""
     return [r if isinstance(r, DegenerateSegmentError) else joint_spectrum(r[1])
-            for r in dma.analyze_pairs(pairs, config)]
+            for r in dma.analyze_pairs(series, pairs, config)]
 
 
 def default_workers() -> int:
@@ -227,16 +227,16 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
     (master_seed, k, 1), builds each at most once, and evaluates every
     requested scheme on it.  Consecutive members form chunks that fit
     one IAAFT batch (see _batch_rows), and each task builds its chunk's
-    surrogates in one iaaft_rows call before evaluating the members one
-    by one.  Chunks run on a pool of `workers` threads (default: the CPU
-    count), split so that every worker gets one, and only the chunks in
-    flight hold surrogates; seeds are derived per member, so the outcome
-    depends on neither the chunking nor the worker count.  A member's
-    schemes are evaluated together, in one DMA pass (_member_spectra).
-    Reports come back in the order of schemes.  Every scheme is reduced
-    before EnsembleFailedError names those with no completed member.
-    Pass delta_alpha_original to reuse an already-computed original
-    width.
+    surrogates in one iaaft_rows call and evaluates every member under
+    every scheme in one DMA pass (_member_spectra), which detrends the
+    originals and each surrogate once.  Chunks run on a pool of `workers`
+    threads (default: the CPU count), split so that every worker gets
+    one, and only the chunks in flight hold surrogates; seeds are derived
+    per member, so the outcome depends on neither the chunking nor the
+    worker count.  Reports come back in the order of schemes.  Every
+    scheme is reduced before EnsembleFailedError names those with no
+    completed member.  Pass delta_alpha_original to reuse an
+    already-computed original width.
     """
     schemes = tuple(SurrogateScheme(s) for s in schemes)
     if not schemes:
@@ -261,18 +261,15 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
         seeds = [_member_seed(master_seed, k, side) for side in sides
                  for k in ks]
         bank, _ = iaaft_rows(rows, seeds, max_iter)
-        built = dict(zip(sides, np.split(bank, len(sides))))
-        members = []
-        for i in range(len(ks)):
-            # one array object per side, so that the member's DMA pass
-            # detrends each surrogate once for all its schemes
-            xs, ys = (built[side][i] if side in built else originals[side]
-                      for side in (0, 1))
-            members.append(_member_spectra(
-                [(xs if scheme.replaces_x else originals[0],
-                  ys if scheme.replaces_y else originals[1])
-                 for scheme in schemes], analysis))
-        return members
+        # series: x and y, then the bank, which holds each side's
+        # surrogates as a run of len(ks) rows from row[side]
+        row = {side: 2 + b * len(ks) for b, side in enumerate(sides)}
+        pairs = [(row[0] + i if scheme.replaces_x else 0,
+                  row[1] + i if scheme.replaces_y else 1)
+                 for i in range(len(ks)) for scheme in schemes]
+        flat = _member_spectra([*originals, *bank], pairs, analysis)
+        w = len(schemes)
+        return [flat[i * w:(i + 1) * w] for i in range(len(ks))]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(chunk, _member_chunks(n, len(sides), pair.n, workers))

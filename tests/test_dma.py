@@ -302,10 +302,12 @@ class TestBatchedKernel:
     def test_member_schemes_match_per_pair_path(self, n):
         x, y, xs, ys = _member(n, n)
         config = DmaConfig(scale_max=min(316, n // 4))
-        pairs = [(xs, y), (x, ys), (xs, ys)]
-        results = analyze_pairs(pairs, config)
-        for (xv, yv), (surface, hurst) in zip(pairs, results):
-            _assert_matches_reference(surface, hurst, xv, yv, config)
+        series = [x, y, xs, ys]
+        pairs = [(2, 1), (0, 3), (2, 3)]
+        results = analyze_pairs(series, pairs, config)
+        for (i, j), (surface, hurst) in zip(pairs, results):
+            _assert_matches_reference(surface, hurst, series[i], series[j],
+                                      config)
 
     @pytest.mark.parametrize("config", [
         DmaConfig(theta=0.5, scale_max=400),
@@ -317,7 +319,7 @@ class TestBatchedKernel:
         x, y, _, _ = _member(2048, 7)
         surface, hurst = analyze_pair(x, y, config)
         _assert_matches_reference(surface, hurst, x, y, config)
-        # a pair of one array with itself shares its residuals
+        # a pair of one array with itself
         surface, hurst = analyze_pair(x, x, config)
         _assert_matches_reference(surface, hurst, x, x.copy(), config)
 
@@ -326,19 +328,22 @@ class TestBatchedKernel:
         y = y.copy()
         y[300:400] = 0.0  # a flat profile stretch zeroes scheme 1's segments
         config = DmaConfig(scale_max=400)
-        pairs = [(xs, y), (x, ys), (xs, ys)]
-        bad, *good = analyze_pairs(pairs, config)
+        series = [x, y, xs, ys]
+        pairs = [(2, 1), (0, 3), (2, 3)]
+        bad, *good = analyze_pairs(series, pairs, config)
         assert isinstance(bad, DegenerateSegmentError)
         with pytest.raises(DegenerateSegmentError) as ref:
             oracle.analyze_pair_reference(xs, y, config)
         assert str(bad) == str(ref.value)
-        for (xv, yv), (surface, hurst) in zip(pairs[1:], good):
-            _assert_matches_reference(surface, hurst, xv, yv, config)
+        for (i, j), (surface, hurst) in zip(pairs[1:], good):
+            _assert_matches_reference(surface, hurst, series[i], series[j],
+                                      config)
 
     def test_length_mismatch(self):
         x, y, xs, _ = _member(600, 3)
         with pytest.raises(DmaError, match="lengths differ"):
-            analyze_pairs([(x, y), (xs, y[:-1])], DmaConfig(scale_max=150))
+            analyze_pairs([x, y, xs, y[:-1]], [(0, 1), (2, 3)],
+                          DmaConfig(scale_max=150))
 
     @pytest.mark.parametrize("n_seg", [1, 2, 7, 600, 9000])
     def test_q_moments_match_scalar_loop(self, n_seg):

@@ -131,11 +131,12 @@ class TestRunAnalysis:
         config = _config(tmp_path, n_surrogates=2)
         pair = pipeline.load_pair(config)
 
-        def fail_scheme2(pairs, config):
+        def fail_scheme2(series, pairs, config):
             # original x: scheme 2
             return [dma.DegenerateSegmentError("segment 0 degenerate")
-                    if np.array_equal(xv, pair.x.values) else spectrum
-                    for (xv, _), spectrum in zip(pairs, real(pairs, config))]
+                    if np.array_equal(series[i], pair.x.values) else spectrum
+                    for (i, _), spectrum in zip(pairs,
+                                                real(series, pairs, config))]
 
         monkeypatch.setattr(surrogate, "_member_spectra", fail_scheme2)
         bundle = run_analysis(config)
@@ -190,8 +191,9 @@ class TestRunAnalysis:
     def test_invocation_count(self, tmp_path, monkeypatch):
         from mfxdma import surrogate
 
-        # spectra: one per analyze_pair call, one per pair of a member
-        calls = {"n": 0, "members": 0}
+        # spectra: one per analyze_pair call, one per pair of a chunk;
+        # one _member_spectra call per chunk of members
+        calls = {"n": 0, "chunks": 0}
         real_pair = dma.analyze_pair
         real_member = surrogate._member_spectra
 
@@ -199,18 +201,19 @@ class TestRunAnalysis:
             calls["n"] += 1
             return real_pair(*args, **kw)
 
-        def counting_member(pairs, config):
+        def counting_member(series, pairs, config):
             calls["n"] += len(pairs)
-            calls["members"] += 1
-            return real_member(pairs, config)
+            calls["chunks"] += 1
+            return real_member(series, pairs, config)
 
         monkeypatch.setattr(dma, "analyze_pair", counting_pair)
         monkeypatch.setattr(surrogate, "_member_spectra", counting_member)
         n, schemes = 3, tuple(SurrogateScheme)
-        config = _config(tmp_path, n_surrogates=n, schemes=schemes)
+        config = _config(tmp_path, n_surrogates=n, schemes=schemes, workers=2)
         run_analysis(config, write=False)
         assert calls["n"] == n * len(schemes) + 1
-        assert calls["members"] == n
+        length = pipeline.load_pair(config).n
+        assert calls["chunks"] == len(surrogate._member_chunks(n, 2, length, 2))
 
     def test_stage_failure_recorded_not_fatal(self, tmp_path):
         # a 3-point q grid is enough for the spectrum but too short for
@@ -371,15 +374,38 @@ class TestCli:
 
     def test_missing_inputs_is_usage_error(self, capsys):
         assert cli.main(["analyze"]) == 1
+        assert capsys.readouterr().err == (
+            "mfxdma: error: missing input series (--x)\n")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["analyze", "--nonsense"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mfxdma")
+        assert err.count("unrecognized arguments: --nonsense") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "choose a command"),
+        (["synth"], "choose a generator: fgn or cascade"),
+    ])
+    def test_missing_command_is_usage_error(self, capsys, argv, message):
+        assert cli.main(argv) == 1
+        assert f"mfxdma: error: {message}\n" in capsys.readouterr().err
+
+    def test_unknown_scheme_names_flag(self, tmp_path, capsys):
+        x = _fgn_csv(tmp_path, "x.csv", 400, 1)
+        y = _fgn_csv(tmp_path, "y.csv", 400, 2)
+        assert cli.main(["surrogate-test", "--x", str(x), "--y", str(y),
+                         "--seed", "1", "--schemes", "7"]) == 1
+        assert ("mfxdma: error: argument --schemes: unknown scheme '7'\n"
+                in capsys.readouterr().err)
 
     def test_seed_required_with_surrogates(self, tmp_path, capsys):
         x = _fgn_csv(tmp_path, "x.csv", 400, 1)
         y = _fgn_csv(tmp_path, "y.csv", 400, 2)
         rc = cli.main(["analyze", "--x", str(x), "--y", str(y)])
         assert rc == 1
+        assert ("--seed is required when surrogates are generated"
+                in capsys.readouterr().err)
 
     def test_seed_optional_without_surrogates(self, tmp_path, capsys):
         x = _fgn_csv(tmp_path, "x.csv", 600, 1)
@@ -420,6 +446,44 @@ class TestCli:
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("frobnicate=1\n")
         assert cli.main(["analyze", "--config", str(cfgfile)]) == 1
+        assert (f"{cfgfile}: unknown config key 'frobnicate'"
+                in capsys.readouterr().err)
+
+    def test_missing_config_file_named(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.cfg"
+        assert cli.main(["analyze", "--config", str(missing)]) == 1
+        assert (f"mfxdma: error: cannot read config file {missing}"
+                in capsys.readouterr().err)
+
+    def _json_config(self, tmp_path, **kw):
+        x = _fgn_csv(tmp_path, "x.csv", 600, 5)
+        y = _fgn_csv(tmp_path, "y.csv", 600, 6)
+        doc = {"input_x": str(x), "input_y": str(y), "n_surrogates": 0,
+               "scale_min": 8, "scale_max": 100, "n_scales": 8,
+               "qcc_m_max": 20, "out_dir": str(tmp_path / "oj"), **kw}
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(doc))
+        return cfgfile
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_surrogates", "abc"), ("scale_max", 100.5), ("theta", "half"),
+        ("standardize", "maybe"), ("schemes", "7"),
+        # null is a value only for workers; it once became the text "None"
+        ("out_dir", None), ("input_x", None), ("n_scales", None),
+    ])
+    def test_bad_config_value_names_file_and_key(self, tmp_path, capsys,
+                                                 monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = self._json_config(tmp_path, **{key: value})
+        assert cli.main(["analyze", "--config", str(cfgfile)]) == 1
+        assert f"mfxdma: error: {cfgfile}: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "oj").exists()
+        assert not (tmp_path / "None").exists()
+
+    def test_null_workers_means_default(self, tmp_path, capsys):
+        cfgfile = self._json_config(tmp_path, workers=None)
+        assert cli.main(["analyze", "--config", str(cfgfile)]) == 0
+        assert (tmp_path / "oj" / "provenance.json").exists()
 
     def test_qcc_subcommand(self, tmp_path, capsys):
         x = _fgn_csv(tmp_path, "x.csv", 500, 7)
@@ -535,7 +599,7 @@ class TestCli:
                                                monkeypatch):
         from mfxdma import surrogate
 
-        def degenerate(pairs, config):
+        def degenerate(series, pairs, config):
             return [dma.DegenerateSegmentError("segment 0 degenerate")
                     for _ in pairs]
 
@@ -547,10 +611,13 @@ class TestCli:
                          "--scale-min", "8", "--scale-max", "120",
                          "--n-scales", "8"]) == 2
         # an ensemble size of 0 is a usage error, not a failed stage
+        capsys.readouterr()
         assert cli.main(["surrogate-test", "--x", str(x), "--y", str(y),
                          "--seed", "2", "--surrogates", "0",
                          "--scale-min", "8", "--scale-max", "120",
                          "--n-scales", "8"]) == 1
+        assert capsys.readouterr().err == (
+            "mfxdma: error: surrogate-test needs --surrogates >= 1\n")
 
     def test_zero_variance_qcc_exits_2(self, tmp_path, capsys):
         # a constant level has only zero returns, which the qcc stage
@@ -599,6 +666,8 @@ class TestCli:
     def test_synth_fgn_requires_seed(self, tmp_path, capsys):
         assert cli.main(["synth", "fgn", "--n", "300", "--hurst", "0.6",
                          "--out", str(tmp_path / "g.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "mfxdma: error: --seed is required for fgn\n")
 
     # nan and inf are not scales; +-1000 overflow or underflow exp
     @pytest.mark.parametrize("scale", ["nan", "inf", "1000", "-1000"])
@@ -609,6 +678,29 @@ class TestCli:
                          "--out", str(out)]) == 1
         assert "--scale" in caplog.text
         assert not out.exists()
+
+    # past 9999-12-31 the dates would be written as day counts, which no
+    # loader reads back; a partial date or a time used to pass as a day
+    @pytest.mark.parametrize("start", [
+        "9999-06-01", "9998-11-27", "garbage", "2000-01", "2000-01-01T05",
+        "2000-02-30", "NaT", "",
+    ])
+    def test_synth_bad_start_date_named(self, tmp_path, caplog, start):
+        out = tmp_path / "g.csv"
+        assert cli.main(["synth", "fgn", "--n", "400", "--hurst", "0.5",
+                         "--seed", "1", f"--start-date={start}",
+                         "--out", str(out)]) == 1
+        assert "--start-date must be a YYYY-MM-DD day" in caplog.text
+        assert not out.exists()
+
+    def test_synth_start_date_up_to_last_day(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert cli.main(["synth", "fgn", "--n", "400", "--hurst", "0.5",
+                         "--seed", "1", "--start-date", "9998-11-26",
+                         "--out", str(out)]) == 0
+        from mfxdma.series import load_csv
+
+        assert str(load_csv(out).dates[-1]) == "9999-12-31"
 
     @pytest.mark.parametrize("generator", [
         ["fgn", "--n", "300", "--hurst", "0.5"],

@@ -24,14 +24,14 @@ def _ar1(n, phi, seed):
 
 
 def _per_pair(fake):
-    """A stand-in for the per-member seam that hands each scheme's (x, y)
-    pair to fake(xv, yv, config) and keeps a DegenerateSegmentError it
-    raises in that scheme's place, as the seam does."""
-    def member_spectra(pairs, config):
+    """A stand-in for the per-chunk seam that hands each (i, j) pair's
+    series to fake(xv, yv, config) and keeps a DegenerateSegmentError it
+    raises in that pair's place, as the seam does."""
+    def member_spectra(series, pairs, config):
         out = []
-        for xv, yv in pairs:
+        for i, j in pairs:
             try:
-                out.append(fake(xv, yv, config))
+                out.append(fake(series[i], series[j], config))
             except DegenerateSegmentError as exc:
                 out.append(exc)
         return out
@@ -427,9 +427,9 @@ class TestIntrinsicTest:
         assert built["rows"] == per_member * n
 
     def test_member_surrogates_detrended_once(self, monkeypatch):
-        # schemes 1 and 3 share the x surrogate, 2 and 3 the y surrogate:
-        # a member's pass detrends x, y and its two surrogates, at most
-        # once each per scale
+        # one chunk, one DMA pass: each original that a scheme keeps and
+        # each surrogate is detrended exactly once per scale, however
+        # many members and schemes use it
         pair = make_pair(_ar1(400, 0.4, 5), _ar1(400, 0.4, 6))
         calls = {"n": 0}
         real = dma.residuals
@@ -440,9 +440,13 @@ class TestIntrinsicTest:
 
         monkeypatch.setattr(dma, "residuals", counting)
         n = 5
-        intrinsic_tests(pair, (S1, S2, S3), n, 3, CFG, workers=1,
-                        delta_alpha_original=0.1)
-        assert 0 < calls["n"] <= 4 * n * CFG.scales().size
+        assert len(sg._member_chunks(n, 2, pair.n, 1)) == 1
+        for schemes, per_scale in (((S1, S2, S3), 2 + 2 * n), ((S1,), 1 + n),
+                                   ((S3,), 2 * n)):
+            calls["n"] = 0
+            intrinsic_tests(pair, schemes, n, 3, CFG, workers=1,
+                            delta_alpha_original=0.1)
+            assert calls["n"] == per_scale * CFG.scales().size, schemes
 
     def test_report_invariants(self):
         pair = make_pair(_ar1(400, 0.4, 5), _ar1(400, 0.4, 6))

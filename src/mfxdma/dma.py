@@ -113,13 +113,6 @@ def profile(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values)
 
 
-def _window_split(s: int, theta: float) -> tuple[int, int]:
-    # (samples behind, samples ahead); sizes always add to s-1
-    fwd = math.floor((s - 1) * theta)
-    back = math.ceil((s - 1) * (1.0 - theta))
-    return back, fwd
-
-
 def residuals(z: np.ndarray, s: int, theta: float,
               sums: np.ndarray | None = None) -> np.ndarray:
     """Detrending residuals on the valid window range (length N-s+1).
@@ -131,7 +124,8 @@ def residuals(z: np.ndarray, s: int, theta: float,
     n = z.size
     if not (2 <= s <= n):
         raise DmaError(f"scale must be in [2, {n}], got {s}")
-    back, _ = _window_split(s, theta)
+    # each window holds back samples before its point and s-1-back after
+    back = math.ceil((s - 1) * (1.0 - theta))
     means = _accel.window_means(z, s, sums)
     return z[back : back + means.size] - means
 
@@ -216,19 +210,26 @@ def hurst_curve(surface: FluctuationSurface) -> HurstCurve:
     return HurstCurve(q_grid=surface.q_grid, h=h, stderr=stderr, r2=r2)
 
 
-def _detrendable(values: np.ndarray, config: DmaConfig) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    return profile(values) if config.use_profile else values
+def _detrended(series, pairs, config: DmaConfig) -> dict[int, np.ndarray]:
+    """The detrendable input of each series that some (i, j) pair uses,
+    keyed by its index: its profile, or its values when use_profile is
+    off.  The lengths must agree and fit the scale grid."""
+    det = {}
+    for i in sorted({i for pair in pairs for i in pair}):
+        values = np.asarray(series[i], dtype=np.float64)
+        det[i] = profile(values) if config.use_profile else values
+    sizes = {z.size for z in det.values()}
+    if len(sizes) > 1:
+        raise DmaError("series lengths differ")
+    config.validate_for_length(sizes.pop())
+    return det
 
 
 def analyze_pair(x_values: np.ndarray, y_values: np.ndarray,
                  config: DmaConfig) -> tuple[FluctuationSurface, HurstCurve]:
     """End-to-end scaling analysis of one return pair."""
-    zx, zy = _detrendable(x_values, config), _detrendable(y_values, config)
-    if zx.size != zy.size:
-        raise DmaError("series lengths differ")
-    config.validate_for_length(zx.size)
-    surface = fluctuation_surface(zx, zy, config)
+    det = _detrended([x_values, y_values], [(0, 1)], config)
+    surface = fluctuation_surface(det[0], det[1], config)
     return surface, hurst_curve(surface)
 
 
@@ -240,12 +241,7 @@ def analyze_pairs(series, pairs, config: DmaConfig
     series that a pair uses is profiled once; a pair whose fluctuation
     degenerates gets its DegenerateSegmentError in place of a result.
     """
-    det = {i: _detrendable(series[i], config)
-           for i in {i for pair in pairs for i in pair}}
-    sizes = {z.size for z in det.values()}
-    if len(sizes) > 1:
-        raise DmaError("series lengths differ")
-    config.validate_for_length(sizes.pop())
-    surfaces = fluctuation_surfaces(det, pairs, config)
+    surfaces = fluctuation_surfaces(_detrended(series, pairs, config), pairs,
+                                    config)
     return [s if isinstance(s, DegenerateSegmentError) else (s, hurst_curve(s))
             for s in surfaces]

@@ -52,56 +52,31 @@ class TauNonlinearityReport:
     multifractal_flag: bool
 
 
-def mass_exponents(hurst: HurstCurve) -> np.ndarray:
-    """tau(q) = q*H(q) - 1."""
+def joint_spectrum(hurst: HurstCurve) -> JointSpectrumResult:
+    """The spectrum of a Hurst curve.
+
+    tau = q*h - 1; alpha = dtau/dq by central differences inside and
+    one-sided second-order stencils at the two endpoints, exact for
+    quadratic tau; f = q*alpha - tau.
+    """
+    q = hurst.q_grid
     if not np.all(np.isfinite(hurst.h)):
         raise DmaError("non-finite Hurst values")
-    return hurst.q_grid * hurst.h - 1.0
-
-
-def singularity_strength(q_grid: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Numerical derivative dtau/dq.
-
-    Central differences inside, one-sided second-order stencils at the
-    two endpoints; exact for quadratic tau.
-    """
-    q_grid = np.asarray(q_grid, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    if q_grid.size < 3:
+    if q.size < 3:
         raise DmaError("need at least 3 grid points for the derivative")
-    return np.gradient(tau, q_grid, edge_order=2)
-
-
-def spectrum(q_grid: np.ndarray, alpha: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Legendre transform f(alpha) = q*alpha - tau."""
-    return np.asarray(q_grid) * np.asarray(alpha) - np.asarray(tau)
-
-
-def singularity_width(alpha: np.ndarray) -> float:
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.size == 0:
-        raise DmaError("empty alpha")
-    return float(alpha.max() - alpha.min())
-
-
-def joint_spectrum(hurst: HurstCurve) -> JointSpectrumResult:
-    """Assemble the full spectrum from a Hurst curve."""
-    tau = mass_exponents(hurst)
-    alpha = singularity_strength(hurst.q_grid, tau)
-    f = spectrum(hurst.q_grid, alpha, tau)
-    return JointSpectrumResult(
-        q_grid=hurst.q_grid,
-        h=hurst.h,
-        tau=tau,
-        alpha=alpha,
-        f_alpha=f,
-        delta_alpha=singularity_width(alpha),
-    )
+    tau = q * hurst.h - 1.0
+    alpha = np.gradient(tau, q, edge_order=2)
+    f_alpha = q * alpha - tau
+    return JointSpectrumResult(q_grid=q, h=hurst.h, tau=tau, alpha=alpha,
+                               f_alpha=f_alpha,
+                               delta_alpha=float(alpha.max() - alpha.min()))
 
 
 def tau_nonlinearity_test(q_grid: np.ndarray, tau: np.ndarray,
                           level: float = 0.05) -> TauNonlinearityReport:
     """Quadratic regression tau ~ a0 + a1 q + a2 q^2 and curvature flag."""
+    if not (0.0 < level < 1.0):
+        raise DmaError(f"level must be in (0,1), got {level}")
     q_grid = np.asarray(q_grid, dtype=np.float64)
     if q_grid.size < 5:
         raise DmaError("need at least 5 grid points for the quadratic test")

@@ -49,11 +49,14 @@ class PolyFitReport:
     r_squared: float
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def chi2_critical(m: int, level: float) -> float:
     """Upper-tail chi-square critical value: P[chi2_m > c] == level.
 
     Memoised: every pair of a grid asks for the same (m, level) values.
+    qcc_test asks for m = 1..m_max in order, so a bounded cache smaller
+    than m_max would evict each key before its reuse; m < N bounds the
+    keys to N - 1 per level.
     """
     if m < 1:
         raise StatsError(f"degrees of freedom must be >= 1, got {m}")

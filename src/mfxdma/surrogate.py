@@ -245,18 +245,21 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
         raise SurrogateError(f"repeated scheme in {[s.value for s in schemes]}")
     if n < 1:
         raise SurrogateError(f"need n >= 1, got {n}")
+    if master_seed < 0:
+        raise SurrogateError(f"master_seed must be >= 0, got {master_seed}")
+    if workers is None:
+        workers = default_workers()
+    if workers < 1:
+        raise SurrogateError(f"workers must be >= 1, got {workers}")
     if delta_alpha_original is None:
         _, hurst = dma.analyze_pair(pair.x.values, pair.y.values, analysis)
         delta_alpha_original = joint_spectrum(hurst).delta_alpha
-    if workers is None:
-        workers = default_workers()
     originals = (pair.x.values, pair.y.values)
     sides = [side for side, needed in
              enumerate((any(s.replaces_x for s in schemes),
                         any(s.replaces_y for s in schemes))) if needed]
 
-    def chunk(ks: range
-              ) -> list[list[JointSpectrumResult | DegenerateSegmentError]]:
+    def chunk(ks: range) -> list[JointSpectrumResult | DegenerateSegmentError]:
         rows = np.repeat([originals[side] for side in sides], len(ks), axis=0)
         seeds = [_member_seed(master_seed, k, side) for side in sides
                  for k in ks]
@@ -267,24 +270,23 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
         pairs = [(row[0] + i if scheme.replaces_x else 0,
                   row[1] + i if scheme.replaces_y else 1)
                  for i in range(len(ks)) for scheme in schemes]
-        flat = _member_spectra([*originals, *bank], pairs, analysis)
-        w = len(schemes)
-        return [flat[i * w:(i + 1) * w] for i in range(len(ks))]
+        return _member_spectra([*originals, *bank], pairs, analysis)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(chunk, _member_chunks(n, len(sides), pair.n, workers))
-        results = [spectra for part in parts for spectra in part]
+        # member-major: member k's scheme i sits at k * len(schemes) + i
+        results = [r for part in parts for r in part]
     # completion order never matters: each scheme is reduced in member order
     reports: list[SurrogateTestReport] = []
     failed: list[str] = []
     for i, scheme in enumerate(schemes):
         good = []
-        for k, spectra in enumerate(results):
-            if isinstance(spectra[i], DegenerateSegmentError):
+        for k, r in enumerate(results[i::len(schemes)]):
+            if isinstance(r, DegenerateSegmentError):
                 log.warning("surrogate member %d excluded from scheme %d: %s",
-                            k, scheme.value, spectra[i])
+                            k, scheme.value, r)
             else:
-                good.append(spectra[i])
+                good.append(r)
         if good:
             reports.append(_report(scheme, good, n - len(good),
                                    float(delta_alpha_original)))
@@ -319,7 +321,7 @@ def _report(scheme: SurrogateScheme, good: list[JointSpectrumResult],
         scheme=scheme,
         delta_alpha_original=delta_alpha_original,
         mean_surrogate_width=float(widths.mean()),
-        std_surrogate_width=float(widths.std(ddof=1)) if len(good) > 1 else 0.0,
+        std_surrogate_width=float(widths.std(ddof=ddof)),
         p_value=int(np.sum(widths > delta_alpha_original)) / len(good),
         n_surrogates=len(good),
         excluded=excluded,

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from mfxdma.dma import (DegenerateSegmentError, DmaError, _window_split,
-                        profile)
+from mfxdma.dma import DegenerateSegmentError, DmaError
 
 
 def window_means(z, s):
@@ -28,7 +27,7 @@ def residuals(z, s, theta):
     z = np.asarray(z, dtype=np.float64)
     if not (2 <= s <= z.size):
         raise DmaError(f"scale must be in [2, {z.size}], got {s}")
-    back, _ = _window_split(s, theta)
+    back = math.ceil((s - 1) * (1.0 - theta))
     means = window_means(z, s)
     return z[back: back + means.size] - means
 
@@ -79,11 +78,10 @@ def ols_slope(xs, ys):
 
 def analyze_pair_reference(x_values, y_values, config):
     """(surface values, h, stderr, r2) of one pair, all from scratch."""
+    zx = np.asarray(x_values, dtype=np.float64)
+    zy = np.asarray(y_values, dtype=np.float64)
     if config.use_profile:
-        zx, zy = profile(x_values), profile(y_values)
-    else:
-        zx = np.asarray(x_values, dtype=np.float64)
-        zy = np.asarray(y_values, dtype=np.float64)
+        zx, zy = np.cumsum(zx), np.cumsum(zy)
     scales = config.scales()
     values = np.empty((config.q_grid.size, scales.size))
     for j, s in enumerate(scales):

@@ -96,7 +96,7 @@ def test_cascade_matches_closed_form_tau():
         cells = synth.binomial_cascade(synth.CascadeSpec(levels=16, p=0.3))
         config = DmaConfig(scale_min=16, scale_max=4096, n_scales=30)
         _, hurst = dma.analyze_pair(cells, cells, config)
-        tau = multifractal.mass_exponents(hurst)
+        tau = multifractal.joint_spectrum(hurst).tau
         maxerr = float(np.max(np.abs(
             tau - synth.analytic_cascade_tau(hurst.q_grid, 0.3))))
         fit = multifractal.tau_nonlinearity_test(hurst.q_grid, tau, 0.01)

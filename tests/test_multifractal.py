@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from mfxdma.dma import DmaError, HurstCurve
-from mfxdma.multifractal import (joint_spectrum, mass_exponents,
-                                 singularity_strength, singularity_width,
-                                 spectrum, tau_nonlinearity_test)
+from mfxdma.multifractal import joint_spectrum, tau_nonlinearity_test
 from mfxdma.synth import analytic_cascade_tau
 
 Q = np.round(np.arange(-20, 21) * 0.25, 10)
@@ -15,75 +13,72 @@ def _curve(h_values):
     return HurstCurve(q_grid=Q, h=h, stderr=np.zeros_like(h), r2=np.ones_like(h))
 
 
+def _of_tau(tau):
+    """joint_spectrum of the curve whose tau is the one given: h =
+    (tau + 1)/q, and h(0) = 0, since tau(0) = -1 for any h(0)."""
+    h = np.divide(tau + 1.0, Q, out=np.zeros_like(Q), where=Q != 0.0)
+    return joint_spectrum(_curve(h))
+
+
 class TestMassExponents:
     def test_q0_forced(self):
-        tau = mass_exponents(_curve(np.linspace(0.9, 0.2, Q.size)))
+        tau = joint_spectrum(_curve(np.linspace(0.9, 0.2, Q.size))).tau
         assert tau[np.nonzero(Q == 0.0)[0][0]] == -1.0
 
     def test_q2_h_half(self):
-        tau = mass_exponents(_curve(np.full(Q.size, 0.5)))
+        tau = joint_spectrum(_curve(np.full(Q.size, 0.5))).tau
         assert tau[np.nonzero(Q == 2.0)[0][0]] == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_h_gives_line(self):
-        tau = mass_exponents(_curve(np.full(Q.size, 0.3668)))
+        tau = joint_spectrum(_curve(np.full(Q.size, 0.3668))).tau
         np.testing.assert_allclose(tau, 0.3668 * Q - 1.0, atol=1e-14)
+
+    def test_non_finite_h(self):
+        h = np.full(Q.size, 0.5)
+        h[3] = np.nan
+        with pytest.raises(DmaError, match="non-finite"):
+            joint_spectrum(_curve(h))
 
 
 class TestSingularityStrength:
     def test_linear_tau(self):
-        alpha = singularity_strength(Q, 0.5 * Q - 1.0)
+        alpha = _of_tau(0.5 * Q - 1.0).alpha
         np.testing.assert_allclose(alpha, 0.5, atol=1e-13)
 
     def test_quadratic_exact(self):
         tau = -1.0 + 0.4 * Q - 0.01 * Q ** 2
-        alpha = singularity_strength(Q, tau)
+        alpha = _of_tau(tau).alpha
         np.testing.assert_allclose(alpha, 0.4 - 0.02 * Q, atol=1e-12)
 
     def test_cascade_analytic_derivative(self):
         p = 0.3
         tau = analytic_cascade_tau(Q, p)
-        alpha = singularity_strength(Q, tau)
+        alpha = _of_tau(tau).alpha
         # closed-form derivative of -log2(p^q + (1-p)^q)
         num = p ** Q * np.log2(p) + (1 - p) ** Q * np.log2(1 - p)
         expected = -num / (p ** Q + (1 - p) ** Q)
         assert np.max(np.abs(alpha - expected)) < 1e-3
 
     def test_too_few_points(self):
-        with pytest.raises(DmaError):
-            singularity_strength(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        q = np.array([0.0, 1.0])
+        with pytest.raises(DmaError, match="3 grid points"):
+            joint_spectrum(HurstCurve(q_grid=q, h=np.array([0.5, 0.5]),
+                                      stderr=np.zeros(2), r2=np.ones(2)))
 
 
 class TestSpectrum:
     def test_q0_forces_unit_f(self):
         h = np.linspace(0.8, 0.3, Q.size)
-        tau = Q * h - 1.0
-        alpha = singularity_strength(Q, tau)
-        f = spectrum(Q, alpha, tau)
+        f = joint_spectrum(_curve(h)).f_alpha
         assert f[np.nonzero(Q == 0.0)[0][0]] == pytest.approx(1.0, abs=1e-12)
 
     def test_monofractal_f_is_one(self):
-        tau = 0.62 * Q - 1.0
-        alpha = singularity_strength(Q, tau)
-        f = spectrum(Q, alpha, tau)
+        f = _of_tau(0.62 * Q - 1.0).f_alpha
         np.testing.assert_allclose(f, 1.0, atol=1e-12)
 
     def test_cascade_max_f_is_one(self):
-        tau = analytic_cascade_tau(Q, 0.3)
-        alpha = singularity_strength(Q, tau)
-        f = spectrum(Q, alpha, tau)
+        f = _of_tau(analytic_cascade_tau(Q, 0.3)).f_alpha
         assert abs(f.max() - 1.0) < 1e-6
-
-
-class TestSingularityWidth:
-    def test_constant_alpha(self):
-        assert singularity_width(np.full(7, 0.44)) == 0.0
-
-    def test_simple_range(self):
-        assert singularity_width(np.array([0.3, 0.5, 0.4])) == pytest.approx(0.2)
-
-    def test_empty(self):
-        with pytest.raises(DmaError):
-            singularity_width(np.array([]))
 
 
 class TestJointSpectrum:
@@ -129,3 +124,8 @@ class TestTauNonlinearityTest:
     def test_too_few_points(self):
         with pytest.raises(DmaError):
             tau_nonlinearity_test(np.arange(4.0), np.arange(4.0), 0.05)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 7.0, float("nan")])
+    def test_level_outside_unit_interval(self, level):
+        with pytest.raises(DmaError, match="level"):
+            tau_nonlinearity_test(Q, 0.41 * Q - 1.0, level)

@@ -120,6 +120,19 @@ class TestChi2Critical:
         with pytest.raises(StatsError):
             chi2_critical(5, 1.5)
 
+    def test_cache_holds_every_lag_depth(self):
+        # qcc_test asks for m = 1..m_max in order, so a cache that holds
+        # fewer keys than m_max evicts each one before it is asked again
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(5001)
+        y = rng.standard_normal(5001)
+        qcc_test(x, y, range(1, 5001), 0.0123)
+        before = chi2_critical.cache_info()
+        qcc_test(x, y, range(1, 5001), 0.0123)
+        after = chi2_critical.cache_info()
+        assert after.hits - before.hits == 5000
+        assert after.misses == before.misses
+
 
 class TestQccTest:
     def test_reject_consistency_and_shape(self):

@@ -360,6 +360,20 @@ class TestIntrinsicTest:
         with pytest.raises(SurrogateError, match="repeated"):
             intrinsic_tests(pair, (S1, S3, 1), 3, 0, CFG)
 
+    @pytest.mark.parametrize("bad", [{"workers": 0}, {"workers": -1},
+                                     {"master_seed": -1}])
+    def test_bad_workers_or_seed_named_before_any_work(self, monkeypatch,
+                                                       bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+        monkeypatch.setattr(dma, "analyze_pair", no_work)
+        monkeypatch.setattr(sg, "iaaft_rows", no_work)
+        pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
+        [name] = bad
+        with pytest.raises(SurrogateError, match=name):
+            intrinsic_tests(pair, (S3,), 3, analysis=CFG,
+                            **{"master_seed": 0, **bad})
+
     @pytest.mark.parametrize("budget", [None, 400, 1200])
     def test_chunking_and_workers_do_not_change_result(self, monkeypatch,
                                                        budget):

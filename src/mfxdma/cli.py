@@ -18,6 +18,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -163,37 +164,25 @@ def build_parser() -> _Parser:
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    pa = sub.add_parser("analyze", help="full pipeline on one pair")
-    _add_input_flags(pa)
-    _add_dma_flags(pa)
-    _add_ensemble_flags(pa)
-    pa.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
-    pa.add_argument("--config", default=None, metavar="FILE",
-                    help="key=value or JSON file overriding defaults")
-    pa.add_argument("--level", dest="significance_level", type=float,
-                    default=None)
-    pa.add_argument("--qcc-m-max", type=int, default=None)
-
-    pq = sub.add_parser("qcc", help="cross-correlation significance only")
-    _add_input_flags(pq)
-    pq.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
-    pq.add_argument("--m-max", dest="qcc_m_max", type=int, default=None,
-                    help="largest lag depth (default 1000)")
-    pq.add_argument("--level", dest="significance_level", type=float,
-                    default=None)
-
-    ps = sub.add_parser("spectrum", help="scaling analysis only")
-    _add_input_flags(ps)
-    _add_dma_flags(ps)
-    ps.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
-    ps.add_argument("--level", dest="significance_level", type=float,
-                    default=None)
-
-    pt = sub.add_parser("surrogate-test", help="surrogate ensembles only")
-    _add_input_flags(pt)
-    _add_dma_flags(pt)
-    _add_ensemble_flags(pt)
-    pt.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
+    # an analysis subcommand's flags follow from the stages it runs
+    for name, cmd in _STAGE_COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        _add_input_flags(p)
+        if "spectrum" in cmd.stages:
+            _add_dma_flags(p)
+        if "surrogates" in cmd.stages:
+            _add_ensemble_flags(p)
+        p.add_argument("--out", dest="out_dir", default=None, metavar="DIR")
+        if cmd.reads_config:
+            p.add_argument("--config", default=None, metavar="FILE",
+                           help="key=value or JSON file overriding defaults")
+        if {"qcc", "tau_fit"} & set(cmd.stages):
+            p.add_argument("--level", dest="significance_level", type=float,
+                           default=None)
+        if "qcc" in cmd.stages:
+            p.add_argument(cmd.lag_flag, dest="qcc_m_max", type=int,
+                           default=None,
+                           help="largest lag depth (default 1000)")
 
     pg = sub.add_parser("synth", help="generate oracle series")
     gsub = pg.add_subparsers(dest="generator", metavar="GENERATOR")
@@ -240,7 +229,8 @@ def _failed_stages(bundle: AnalysisBundle) -> str:
 
 
 def _report_analyze(bundle: AnalysisBundle) -> str:
-    return f"wrote {bundle.config.out_dir} ({bundle.pair_label})"
+    return (f"wrote {bundle.config.out_dir} ({bundle.pair_label}) "
+            f"{_failed_stages(bundle)}").rstrip()
 
 
 def _report_qcc(bundle: AnalysisBundle) -> str:
@@ -270,26 +260,38 @@ def _report_surrogates(bundle: AnalysisBundle) -> str:
     return "\n".join(lines)
 
 
-# subcommand -> (the stages of run_analysis it runs, its printout)
+class _StageCommand(NamedTuple):
+    help: str
+    stages: tuple[str, ...]  # the stages of run_analysis it runs
+    report: Callable[[AnalysisBundle], str]  # its printout
+    lag_flag: str | None  # how it spells the qcc lag depth, if it runs qcc
+    reads_config: bool  # whether it takes --config
+
+
 _STAGE_COMMANDS = {
-    "analyze": (pipeline.ALL_STAGES, _report_analyze),
-    "qcc": (("qcc",), _report_qcc),
-    "spectrum": (("spectrum", "tau_fit"), _report_spectrum),
-    "surrogate-test": (("spectrum", "surrogates"), _report_surrogates),
+    "analyze": _StageCommand("full pipeline on one pair", pipeline.ALL_STAGES,
+                             _report_analyze, "--qcc-m-max", True),
+    "qcc": _StageCommand("cross-correlation significance only", ("qcc",),
+                         _report_qcc, "--m-max", False),
+    "spectrum": _StageCommand("scaling analysis only", ("spectrum", "tau_fit"),
+                              _report_spectrum, None, False),
+    "surrogate-test": _StageCommand(
+        "surrogate ensembles only", ("spectrum", "surrogates"),
+        _report_surrogates, None, False),
 }
 
 
 def _cmd_stages(args) -> int:
-    stages, report = _STAGE_COMMANDS[args.command]
-    config = _merged_config(args, need_seed="surrogates" in stages)
+    cmd = _STAGE_COMMANDS[args.command]
+    config = _merged_config(args, need_seed="surrogates" in cmd.stages)
     # analyze skips its ensembles at --surrogates 0; surrogate-test would
     # have nothing to run
     if args.command == "surrogate-test" and config.n_surrogates < 1:
         raise _UsageError("surrogate-test needs --surrogates >= 1")
     # analyze always writes (to mfxdma-out by default), the others only with --out
     write = args.command == "analyze" or args.out_dir is not None
-    bundle = pipeline.run_analysis(config, write=write, stages=stages)
-    print(report(bundle))
+    bundle = pipeline.run_analysis(config, write=write, stages=cmd.stages)
+    print(cmd.report(bundle))
     return 0 if bundle.complete else 2
 
 
@@ -356,13 +358,9 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             raise _UsageError("choose a command")
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        # logging is not configured while argparse runs
+    except (_UsageError, ValueError) as exc:
+        # usage, or bad input or config raised before any stage runs
         sys.stderr.write(f"mfxdma: error: {exc}\n")
-        return 1
-    except ValueError as exc:
-        # bad input or config, raised before any stage runs
-        log.error("%s", exc)
         return 1
     except Exception as exc:  # the run itself broke, say writing outputs
         log.error("run failed: %s", exc)

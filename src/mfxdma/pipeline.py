@@ -245,7 +245,6 @@ def run_analysis(config: RunConfig, write: bool = True,
     if write:
         out = Path(config.out_dir)
         write_bundle(bundle, out)
-        emit_plot_data(bundle, out / "figdata")
         write_provenance(bundle, out, wall_seconds=time.time() - started,
                          workers=workers)
     return bundle
@@ -263,12 +262,23 @@ def _cells(column) -> list[str]:
         return ["true" if v else "false" for v in values.tolist()]
     if values.dtype.kind == "f":
         return list(map(repr, values.tolist()))
+    if values.dtype.kind == "U":
+        return list(map(_quoted, values.tolist()))
     return list(map(str, values.tolist()))
+
+
+def _quoted(text: str) -> str:
+    # RFC 4180: a cell holding a separator, a quote or a line break is
+    # quoted, and its quotes doubled
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(path: Path, columns: dict) -> None:
     """One row per position of the equal-length columns, the keys as the
-    header: flags as true/false, floats by repr, the rest by str."""
+    header: flags as true/false, floats by repr, text quoted as RFC 4180
+    asks, the rest by str."""
     rows = zip(*map(_cells, columns.values()))
     lines = [",".join(columns), *map(",".join, rows)]
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -283,87 +293,25 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def scheme_slug(scheme: SurrogateScheme) -> str:
-    return scheme.name.lower()
-
-
 def write_bundle(bundle: AnalysisBundle, out: Path) -> None:
+    """Write the tables of every completed stage, the figure tables under
+    out/figdata, then summary.json.  Each table is written only when the
+    bundle fields it reads are set."""
     out = Path(out)
+    fig = out / "figdata"
+    sp, reps = bundle.spectrum, bundle.surrogate_tests
+    summary: dict = {"pair": bundle.pair_label}
     if bundle.qcc is not None:
         r = bundle.qcc
         _write_csv(out / "qcc.csv", {"m": r.m_values, "qcc": r.qcc,
                                      "critical": r.critical, "reject": r.reject})
-    if bundle.spectrum is not None:
-        sp = bundle.spectrum
-        _write_csv(out / "spectrum.csv", {"q": sp.q_grid, "H": sp.h,
-                                          "tau": sp.tau, "alpha": sp.alpha,
-                                          "f": sp.f_alpha})
-    if bundle.tau_fit is not None:
-        fit = bundle.tau_fit.fit
-        _write_csv(out / "tau_fit.csv", {
-            **{f"{prefix}{i}": [v] for prefix, values in (
-                ("a", fit.coefficients), ("se", fit.std_errors),
-                ("t", fit.t_stats), ("p", fit.t_pvalues))
-               for i, v in enumerate(values)},
-            "f_stat": [fit.f_stat], "f_pvalue": [fit.f_pvalue],
-            "r_squared": [fit.r_squared],
-            "multifractal_flag": [bundle.tau_fit.multifractal_flag]})
-    for rep in bundle.surrogate_tests:
-        _write_csv(out / f"surrogate_{scheme_slug(rep.scheme)}.csv", {
-            "pair": [bundle.pair_label], "scheme": [rep.scheme.name],
-            "delta_alpha": [rep.delta_alpha_original],
-            "mean_hat": [rep.mean_surrogate_width],
-            "std_hat": [rep.std_surrogate_width], "p_value": [rep.p_value],
-            "n": [rep.n_surrogates], "excluded": [rep.excluded]})
-    _write_summary(bundle, out / "summary.json")
-
-
-def _write_summary(bundle: AnalysisBundle, path: Path) -> None:
-    summary: dict = {"pair": bundle.pair_label}
-    if bundle.qcc is not None:
-        summary["qcc"] = {
-            "level": bundle.qcc.significance_level,
-            "n_lags": int(bundle.qcc.m_values.size),
-            "n_reject": int(np.sum(bundle.qcc.reject)),
-        }
-    if bundle.spectrum is not None:
-        summary["delta_alpha"] = bundle.spectrum.delta_alpha
-    if bundle.tau_fit is not None:
-        summary["tau_fit"] = {
-            "a2": float(bundle.tau_fit.fit.coefficients[2]),
-            "a2_pvalue": float(bundle.tau_fit.fit.t_pvalues[2]),
-            "multifractal_flag": bundle.tau_fit.multifractal_flag,
-        }
-    if bundle.surrogate_tests:
-        rows = {}
-        for rep in bundle.surrogate_tests:
-            rows[scheme_slug(rep.scheme)] = {
-                "p_value": rep.p_value,
-                "mean_width": rep.mean_surrogate_width,
-                "std_width": rep.std_surrogate_width,
-                "n": rep.n_surrogates,
-                "excluded": rep.excluded,
-                # both conventional thresholds, reported side by side
-                **{f"intrinsic_at_{int(level * 100)}pct": bool(rep.p_value < level)
-                   for level in REPORT_LEVELS},
-            }
-        summary["surrogate_tests"] = rows
-        summary["intrinsic_candidate"] = {
-            f"{int(level * 100)}pct": bool(
-                any(rep.p_value < level for rep in bundle.surrogate_tests))
-            for level in REPORT_LEVELS
-        }
-    _write_json(path, summary)
-
-
-def emit_plot_data(bundle: AnalysisBundle, out: Path) -> None:
-    """Write one CSV per figure family whose stages completed."""
-    out = Path(out)
-    reps = bundle.surrogate_tests
+        summary["qcc"] = {"level": r.significance_level,
+                          "n_lags": int(r.m_values.size),
+                          "n_reject": int(np.sum(r.reject))}
     if bundle.surface is not None:
         surf = bundle.surface
         # q outer, s inner
-        _write_csv(out / "fluctuation.csv", {
+        _write_csv(fig / "fluctuation.csv", {
             "q": np.repeat(surf.q_grid, surf.scales.size),
             "s": np.tile(surf.scales, surf.q_grid.size),
             "F": surf.values.ravel()})
@@ -373,15 +321,11 @@ def emit_plot_data(bundle: AnalysisBundle, out: Path) -> None:
             sid = rep.scheme.value
             columns[f"H_mean_s{sid}"] = rep.h_mean
             columns[f"H_std_s{sid}"] = rep.h_std
-        _write_csv(out / "hurst_bands.csv", columns)
-    if bundle.spectrum is not None and bundle.tau_fit is not None:
-        q = bundle.spectrum.q_grid
-        _write_csv(out / "tau_fit_curve.csv", {
-            "q": q, "tau": bundle.spectrum.tau,
-            "tau_quadratic_fit": np.polyval(
-                bundle.tau_fit.fit.coefficients[::-1], q)})
-    if bundle.spectrum is not None:
-        sp = bundle.spectrum
+        _write_csv(fig / "hurst_bands.csv", columns)
+    if sp is not None:
+        _write_csv(out / "spectrum.csv", {"q": sp.q_grid, "H": sp.h,
+                                          "tau": sp.tau, "alpha": sp.alpha,
+                                          "f": sp.f_alpha})
         columns = {"q": sp.q_grid, "alpha_orig": sp.alpha, "f_orig": sp.f_alpha}
         for rep in reps:
             sid = rep.scheme.value
@@ -389,16 +333,58 @@ def emit_plot_data(bundle: AnalysisBundle, out: Path) -> None:
             columns[f"alpha_std_s{sid}"] = rep.alpha_std
             columns[f"f_mean_s{sid}"] = rep.f_mean
             columns[f"f_std_s{sid}"] = rep.f_std
-        _write_csv(out / "spectrum_bands.csv", columns)
+        _write_csv(fig / "spectrum_bands.csv", columns)
+        summary["delta_alpha"] = sp.delta_alpha
+    if bundle.tau_fit is not None:
+        fit, flag = bundle.tau_fit.fit, bundle.tau_fit.multifractal_flag
+        _write_csv(out / "tau_fit.csv", {
+            **{f"{prefix}{i}": [v] for prefix, values in (
+                ("a", fit.coefficients), ("se", fit.std_errors),
+                ("t", fit.t_stats), ("p", fit.t_pvalues))
+               for i, v in enumerate(values)},
+            "f_stat": [fit.f_stat], "f_pvalue": [fit.f_pvalue],
+            "r_squared": [fit.r_squared], "multifractal_flag": [flag]})
+        summary["tau_fit"] = {"a2": float(fit.coefficients[2]),
+                              "a2_pvalue": float(fit.t_pvalues[2]),
+                              "multifractal_flag": flag}
+        if sp is not None:
+            _write_csv(fig / "tau_fit_curve.csv", {
+                "q": sp.q_grid, "tau": sp.tau,
+                "tau_quadratic_fit": np.polyval(fit.coefficients[::-1],
+                                                sp.q_grid)})
     for rep in reps:
+        slug = rep.scheme.name.lower()
+        _write_csv(out / f"surrogate_{slug}.csv", {
+            "pair": [bundle.pair_label], "scheme": [rep.scheme.name],
+            "delta_alpha": [rep.delta_alpha_original],
+            "mean_hat": [rep.mean_surrogate_width],
+            "std_hat": [rep.std_surrogate_width], "p_value": [rep.p_value],
+            "n": [rep.n_surrogates], "excluded": [rep.excluded]})
         counts, edges = np.histogram(rep.widths, bins=30)
-        _write_csv(out / f"width_hist_{scheme_slug(rep.scheme)}.csv",
+        _write_csv(fig / f"width_hist_{slug}.csv",
                    {"bin_lo": edges[:-1], "bin_hi": edges[1:], "count": counts})
-    if bundle.spectrum is not None and reps:
-        _write_csv(out / "tau_deviation.csv", {
-            "q": bundle.spectrum.q_grid,
-            **{f"tau_dev_s{rep.scheme.value}": bundle.spectrum.tau - rep.tau_mean
-               for rep in reps}})
+        summary.setdefault("surrogate_tests", {})[slug] = {
+            "p_value": rep.p_value,
+            "mean_width": rep.mean_surrogate_width,
+            "std_width": rep.std_surrogate_width,
+            "n": rep.n_surrogates,
+            "excluded": rep.excluded,
+            # both conventional thresholds, reported side by side
+            **{f"intrinsic_at_{int(level * 100)}pct": bool(rep.p_value < level)
+               for level in REPORT_LEVELS},
+        }
+    if reps:
+        if sp is not None:
+            _write_csv(fig / "tau_deviation.csv", {
+                "q": sp.q_grid,
+                **{f"tau_dev_s{rep.scheme.value}": sp.tau - rep.tau_mean
+                   for rep in reps}})
+        summary["intrinsic_candidate"] = {
+            f"{int(level * 100)}pct": bool(
+                any(rep.p_value < level for rep in reps))
+            for level in REPORT_LEVELS
+        }
+    _write_json(out / "summary.json", summary)
 
 
 def write_provenance(bundle: AnalysisBundle, out: Path, wall_seconds: float,

@@ -383,4 +383,5 @@ class TestBenchmarkProbes:
                    if not hasattr(importlib.import_module(f"mfxdma.{module}"),
                                   name)}
         assert missing == {"surrogate.intrinsic_test",
-                           "surrogate.iaaft_with_iterations"}
+                           "surrogate.iaaft_with_iterations",
+                           "pipeline.emit_plot_data"}

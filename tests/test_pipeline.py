@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from mfxdma import cli, dma, pipeline, synth
 from mfxdma.dma import FluctuationSurface
 from mfxdma.multifractal import TauNonlinearityReport
 from mfxdma.pipeline import (AnalysisBundle, PipelineError, RunConfig,
-                             emit_plot_data, run_analysis, write_bundle)
+                             run_analysis, write_bundle)
 from mfxdma.stats import PolyFitReport, QccReport
 from mfxdma.surrogate import SurrogateScheme
 
@@ -254,16 +256,16 @@ class TestEmitPlotData:
 
     def test_fluctuation_shape(self, tmp_path):
         bundle = self._bundle(tmp_path, n_surrogates=0)
-        out = tmp_path / "fig"
-        emit_plot_data(bundle, out)
+        write_bundle(bundle, tmp_path / "run")
+        out = tmp_path / "run" / "figdata"
         lines = (out / "fluctuation.csv").read_text().splitlines()
         n_scales = bundle.surface.scales.size
         assert len(lines) == 1 + n_scales * bundle.surface.q_grid.size
 
     def test_band_schema(self, tmp_path):
         bundle = self._bundle(tmp_path)
-        out = tmp_path / "fig"
-        emit_plot_data(bundle, out)
+        write_bundle(bundle, tmp_path / "run")
+        out = tmp_path / "run" / "figdata"
         header = (out / "hurst_bands.csv").read_text().splitlines()[0]
         assert header == ("q,H_orig,H_mean_s1,H_std_s1,H_mean_s2,H_std_s2,"
                           "H_mean_s3,H_std_s3")
@@ -272,8 +274,8 @@ class TestEmitPlotData:
 
     def test_histogram_conservation(self, tmp_path):
         bundle = self._bundle(tmp_path)
-        out = tmp_path / "fig"
-        emit_plot_data(bundle, out)
+        write_bundle(bundle, tmp_path / "run")
+        out = tmp_path / "run" / "figdata"
         for rep in bundle.surrogate_tests:
             path = out / f"width_hist_{rep.scheme.name.lower()}.csv"
             rows = path.read_text().splitlines()[1:]
@@ -283,8 +285,8 @@ class TestEmitPlotData:
 
     def test_tau_deviation_columns(self, tmp_path):
         bundle = self._bundle(tmp_path)
-        out = tmp_path / "fig"
-        emit_plot_data(bundle, out)
+        write_bundle(bundle, tmp_path / "run")
+        out = tmp_path / "run" / "figdata"
         header = (out / "tau_deviation.csv").read_text().splitlines()[0]
         assert header == "q,tau_dev_s1,tau_dev_s2,tau_dev_s3"
 
@@ -343,9 +345,9 @@ class TestOutputFormat:
         surface = FluctuationSurface(
             scales=np.array([4, 8]), q_grid=np.array([-1.0, 0.0, 2.0]),
             values=np.array([[1.0, 2.0], [1.5, 2.5], [2.0, 3.0]]))
-        emit_plot_data(self._bundle(surface=surface), tmp_path)
+        write_bundle(self._bundle(surface=surface), tmp_path)
         # q outer, s inner
-        assert (tmp_path / "fluctuation.csv").read_text() == (
+        assert (tmp_path / "figdata" / "fluctuation.csv").read_text() == (
             "q,s,F\n"
             "-1.0,4,1.0\n"
             "-1.0,8,2.0\n"
@@ -353,7 +355,20 @@ class TestOutputFormat:
             "0.0,8,2.5\n"
             "2.0,4,2.0\n"
             "2.0,8,3.0\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["fluctuation.csv"]
+        assert [p.name for p in (tmp_path / "figdata").iterdir()] == [
+            "fluctuation.csv"]
+
+    def test_text_cells_quoted(self, tmp_path):
+        pipeline._write_csv(tmp_path / "t.csv", {
+            "pair": ["a,b", 'say "hi"', "plain", "two\nlines"],
+            "n": [1, 2, 3, 4]})
+        raw = (tmp_path / "t.csv").read_text()
+        assert raw == ('pair,n\n"a,b",1\n"say ""hi""",2\nplain,3\n'
+                       '"two\nlines",4\n')
+        with open(tmp_path / "t.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [
+                ["a,b", "1"], ['say "hi"', "2"], ["plain", "3"],
+                ["two\nlines", "4"]]
 
 
 class TestCli:
@@ -376,6 +391,61 @@ class TestCli:
         assert cli.main(["analyze"]) == 1
         assert capsys.readouterr().err == (
             "mfxdma: error: missing input series (--x)\n")
+
+    def test_option_strings_per_subcommand(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        inputs = ["--x", "--y", "--date-column", "--value-column",
+                  "--standardize"]
+        dma_flags = ["--theta", "--q-min", "--q-max", "--q-step",
+                     "--scale-min", "--scale-max", "--n-scales", "--no-profile"]
+        ensemble = ["--seed", "--surrogates", "--schemes", "--iaaft-max-iter",
+                    "--workers"]
+        expected = {
+            "analyze": [*inputs, *dma_flags, *ensemble, "--out", "--config",
+                        "--level", "--qcc-m-max"],
+            "qcc": [*inputs, "--m-max", "--level", "--out"],
+            "spectrum": [*inputs, *dma_flags, "--level", "--out"],
+            "surrogate-test": [*inputs, *dma_flags, *ensemble, "--out"],
+        }
+        assert len(expected["analyze"]) == 22
+        for name, flags in expected.items():
+            got = [s for a in sub.choices[name]._actions
+                   for s in a.option_strings if s not in ("-h", "--help")]
+            assert sorted(got) == sorted(flags), name
+
+    def test_run_config_error_is_one_line(self, tmp_path, capsys):
+        x = _fgn_csv(tmp_path, "x.csv", 400, 1)
+        y = _fgn_csv(tmp_path, "y.csv", 400, 2)
+        assert cli.main(["analyze", "--x", str(x), "--y", str(y),
+                         "--seed", "1", "--workers", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "mfxdma: error: workers must be >= 1, got 0\n")
+
+    def test_missing_input_file_is_one_line(self, tmp_path, capsys):
+        x = _fgn_csv(tmp_path, "x.csv", 400, 1)
+        missing = tmp_path / "nope.csv"
+        assert cli.main(["qcc", "--x", str(x), "--y", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"mfxdma: error: input file not found: {missing}\n")
+
+    def test_label_with_comma_reads_back(self, tmp_path, capsys):
+        x = _fgn_csv(tmp_path, "wheat,spot.csv", 600, 11)
+        y = _fgn_csv(tmp_path, "y.csv", 600, 12)
+        out = tmp_path / "o"
+        assert cli.main(["analyze", "--x", str(x), "--y", str(y),
+                         "--seed", "2", "--surrogates", "2", "--schemes", "3",
+                         "--scale-min", "8", "--scale-max", "120",
+                         "--n-scales", "8", "--qcc-m-max", "20",
+                         "--out", str(out)]) == 0
+        paths = sorted(out.rglob("*.csv"))
+        assert len(paths) == 10
+        for path in paths:
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert all(len(row) == len(header) for row in rows), path.name
+        with open(out / "surrogate_iaaft_x_iaaft_y.csv", newline="") as fh:
+            assert list(csv.DictReader(fh))[0]["pair"] == "wheat,spot-y"
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["analyze", "--nonsense"]) == 1
@@ -551,6 +621,14 @@ class TestCli:
         assert cli.main(["analyze", *flags, "--surrogates", "0",
                          "--out", str(tmp_path / "a")]) == 2
 
+    def test_analyze_names_failed_stages(self, tmp_path, capsys):
+        x, y = self._flat_stretch_csvs(tmp_path)
+        out = tmp_path / "a"
+        assert cli.main(["analyze", "--x", x, "--y", y, "--scale-max", "100",
+                         "--surrogates", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            f"wrote {out} (x-y) spectrum=failed tau_fit=failed\n")
+
     def test_config_validation_exits_1(self, tmp_path, capsys):
         x, y = self._flat_stretch_csvs(tmp_path)
         # scale_max above N/4 is rejected before any stage runs
@@ -671,12 +749,12 @@ class TestCli:
 
     # nan and inf are not scales; +-1000 overflow or underflow exp
     @pytest.mark.parametrize("scale", ["nan", "inf", "1000", "-1000"])
-    def test_synth_bad_scale_named(self, tmp_path, caplog, scale):
+    def test_synth_bad_scale_named(self, tmp_path, capsys, scale):
         out = tmp_path / "g.csv"
         assert cli.main(["synth", "fgn", "--n", "300", "--hurst", "0.5",
                          "--seed", "1", f"--scale={scale}",
                          "--out", str(out)]) == 1
-        assert "--scale" in caplog.text
+        assert "--scale" in capsys.readouterr().err
         assert not out.exists()
 
     # past 9999-12-31 the dates would be written as day counts, which no
@@ -685,12 +763,13 @@ class TestCli:
         "9999-06-01", "9998-11-27", "garbage", "2000-01", "2000-01-01T05",
         "2000-02-30", "NaT", "",
     ])
-    def test_synth_bad_start_date_named(self, tmp_path, caplog, start):
+    def test_synth_bad_start_date_named(self, tmp_path, capsys, start):
         out = tmp_path / "g.csv"
         assert cli.main(["synth", "fgn", "--n", "400", "--hurst", "0.5",
                          "--seed", "1", f"--start-date={start}",
                          "--out", str(out)]) == 1
-        assert "--start-date must be a YYYY-MM-DD day" in caplog.text
+        assert ("--start-date must be a YYYY-MM-DD day"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_synth_start_date_up_to_last_day(self, tmp_path, capsys):
@@ -706,11 +785,11 @@ class TestCli:
         ["fgn", "--n", "300", "--hurst", "0.5"],
         ["cascade", "--p", "0.3", "--levels", "8", "--shuffle"],
     ])
-    def test_synth_negative_seed_named(self, tmp_path, caplog, generator):
+    def test_synth_negative_seed_named(self, tmp_path, capsys, generator):
         out = tmp_path / "g.csv"
         assert cli.main(["synth", *generator, "--seed", "-1",
                          "--out", str(out)]) == 1
-        assert "--seed must be >= 0, got -1" in caplog.text
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scheme_parsing(self):

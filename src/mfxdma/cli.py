@@ -67,17 +67,14 @@ def _parse_bool(text: str) -> bool:
     raise _UsageError(f"expected a boolean, got {text!r}")
 
 
-_CONFIG_COERCERS = {
-    "input_x": str, "input_y": str, "out_dir": str,
-    "date_column": str, "value_column": str,
-    "master_seed": int, "scale_min": int, "scale_max": int, "n_scales": int,
-    "n_surrogates": int, "qcc_m_max": int, "iaaft_max_iter": int,
-    "theta": float, "q_min": float, "q_max": float, "q_step": float,
-    "significance_level": float,
-    "standardize": _parse_bool, "use_profile": _parse_bool,
-    "schemes": _parse_schemes,
-    "workers": lambda t: None if t.strip().lower() == "none" else int(t),
+# how a config file's text becomes each RunConfig field, by its annotation
+_COERCERS_BY_TYPE = {
+    "str": str, "int": int, "float": float, "bool": _parse_bool,
+    "tuple[SurrogateScheme, ...]": _parse_schemes,
+    "int | None": lambda t: None if t.strip().lower() == "none" else int(t),
 }
+_CONFIG_COERCERS = {f.name: _COERCERS_BY_TYPE[f.type]
+                    for f in dataclasses.fields(RunConfig)}
 
 
 def _load_config_file(path: str) -> dict:
@@ -132,7 +129,8 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_dma_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=None,
-                   help="window position, 0=backward (default 0)")
+                   help=f"window position, 0=backward "
+                        f"(default {RunConfig.theta:g})")
     p.add_argument("--q-min", type=float, default=None)
     p.add_argument("--q-max", type=float, default=None)
     p.add_argument("--q-step", type=float, default=None)
@@ -182,7 +180,8 @@ def build_parser() -> _Parser:
         if "qcc" in cmd.stages:
             p.add_argument(cmd.lag_flag, dest="qcc_m_max", type=int,
                            default=None,
-                           help="largest lag depth (default 1000)")
+                           help=f"largest lag depth "
+                                f"(default {RunConfig.qcc_m_max})")
 
     pg = sub.add_parser("synth", help="generate oracle series")
     gsub = pg.add_subparsers(dest="generator", metavar="GENERATOR")

@@ -130,65 +130,6 @@ def residuals(z: np.ndarray, s: int, theta: float,
     return z[back : back + means.size] - means
 
 
-def fluctuation_surfaces(series, pairs, config: DmaConfig
-                         ) -> list[FluctuationSurface | DegenerateSegmentError]:
-    """F_xy(q,s) of several pairs of detrendable inputs (profiles already
-    applied), in one pass over the scales.
-
-    Each pair is (i, j), indices into series.  Every series that a pair
-    uses gets its running sum once and its residuals once per scale,
-    whichever pairs use it, so a surface is bit-identical to that of its
-    pair alone.  Residual range is cut into floor((N-s+1)/s) segments of
-    exactly s points starting at the first valid position; the trailing
-    remainder is discarded.  A pair with a zero segment fluctuation gets
-    a DegenerateSegmentError in place of its surface and drops out of the
-    later scales.
-    """
-    inputs = {i: np.asarray(series[i], dtype=np.float64)
-              for i in sorted({i for pair in pairs for i in pair})}
-    sizes = {z.size for z in inputs.values()}
-    if len(sizes) > 1:
-        raise DmaError("series lengths differ")
-    n = sizes.pop()
-    sums = {i: _accel.running_sums(z) for i, z in inputs.items()}
-    scales = config.scales()
-    q_grid = config.q_grid
-    values = [np.empty((q_grid.size, scales.size)) for _ in pairs]
-    out: list = [None] * len(pairs)
-    live = list(range(len(pairs)))
-    for j, s in enumerate(scales.tolist()):
-        det = {i: residuals(inputs[i], s, config.theta, sums[i])
-               for i in sorted({i for p in live for i in pairs[p]})}
-        n_seg = (n - s + 1) // s
-        if n_seg < 1:
-            raise DmaError(f"no complete segment of size {s} in {n - s + 1} residuals")
-        for p in tuple(live):
-            ix, iy = pairs[p]
-            fvs = _accel.segment_products(det[ix], det[iy], s, n_seg)
-            zeros = np.flatnonzero(fvs == 0.0)
-            if zeros.size:
-                out[p] = DegenerateSegmentError(
-                    f"segment {zeros[0]} at scale {s} has zero fluctuation")
-                live.remove(p)
-            else:
-                values[p][:, j] = _accel.q_moments(fvs, q_grid)
-        if not live:
-            break
-    for p in live:
-        out[p] = FluctuationSurface(scales=scales, q_grid=q_grid,
-                                    values=values[p])
-    return out
-
-
-def fluctuation_surface(x_det: np.ndarray, y_det: np.ndarray,
-                        config: DmaConfig) -> FluctuationSurface:
-    """F_xy(q,s) for detrendable inputs (profiles already applied)."""
-    [surface] = fluctuation_surfaces([x_det, y_det], [(0, 1)], config)
-    if isinstance(surface, DegenerateSegmentError):
-        raise surface
-    return surface
-
-
 def hurst_curve(surface: FluctuationSurface) -> HurstCurve:
     """Slope of log F against log s, one regression per q on one shared
     design matrix."""
@@ -210,38 +151,63 @@ def hurst_curve(surface: FluctuationSurface) -> HurstCurve:
     return HurstCurve(q_grid=surface.q_grid, h=h, stderr=stderr, r2=r2)
 
 
-def _detrended(series, pairs, config: DmaConfig) -> dict[int, np.ndarray]:
-    """The detrendable input of each series that some (i, j) pair uses,
-    keyed by its index: its profile, or its values when use_profile is
-    off.  The lengths must agree and fit the scale grid."""
-    det = {}
-    for i in sorted({i for pair in pairs for i in pair}):
-        values = np.asarray(series[i], dtype=np.float64)
-        det[i] = profile(values) if config.use_profile else values
-    sizes = {z.size for z in det.values()}
-    if len(sizes) > 1:
-        raise DmaError("series lengths differ")
-    config.validate_for_length(sizes.pop())
-    return det
-
-
 def analyze_pair(x_values: np.ndarray, y_values: np.ndarray,
                  config: DmaConfig) -> tuple[FluctuationSurface, HurstCurve]:
     """End-to-end scaling analysis of one return pair."""
-    det = _detrended([x_values, y_values], [(0, 1)], config)
-    surface = fluctuation_surface(det[0], det[1], config)
-    return surface, hurst_curve(surface)
+    [result] = analyze_pairs([x_values, y_values], [(0, 1)], config)
+    if isinstance(result, DegenerateSegmentError):
+        raise result
+    return result
 
 
 def analyze_pairs(series, pairs, config: DmaConfig
                   ) -> list[tuple[FluctuationSurface, HurstCurve]
                             | DegenerateSegmentError]:
-    """analyze_pair of several return pairs, each (i, j) indices into
-    series, in one pass over the scales (see fluctuation_surfaces).  Each
-    series that a pair uses is profiled once; a pair whose fluctuation
-    degenerates gets its DegenerateSegmentError in place of a result.
+    """F_xy(q,s) and H_xy(q) of several return pairs, each (i, j) indices
+    into series, in one pass over the scales.
+
+    Each series that a pair uses is detrended as one input (its profile,
+    or its values when use_profile is off): it gets its running sum once
+    and its residuals once per scale, whichever pairs use it, so a result
+    is bit-identical to that of its pair alone.  Residual range is cut
+    into floor((N-s+1)/s) segments of exactly s points starting at the
+    first valid position; the trailing remainder is discarded.  A pair
+    with a zero segment fluctuation gets a DegenerateSegmentError in
+    place of its result and drops out of the later scales.
     """
-    surfaces = fluctuation_surfaces(_detrended(series, pairs, config), pairs,
-                                    config)
-    return [s if isinstance(s, DegenerateSegmentError) else (s, hurst_curve(s))
-            for s in surfaces]
+    inputs = {}
+    for i in sorted({i for pair in pairs for i in pair}):
+        values = np.asarray(series[i], dtype=np.float64)
+        inputs[i] = profile(values) if config.use_profile else values
+    sizes = {z.size for z in inputs.values()}
+    if len(sizes) > 1:
+        raise DmaError("series lengths differ")
+    n = sizes.pop()
+    config.validate_for_length(n)  # so every scale has >= 3 segments
+    sums = {i: _accel.running_sums(z) for i, z in inputs.items()}
+    scales = config.scales()
+    q_grid = config.q_grid
+    values = [np.empty((q_grid.size, scales.size)) for _ in pairs]
+    out: list = [None] * len(pairs)
+    live = list(range(len(pairs)))
+    for j, s in enumerate(scales.tolist()):
+        det = {i: residuals(inputs[i], s, config.theta, sums[i])
+               for i in sorted({i for p in live for i in pairs[p]})}
+        n_seg = (n - s + 1) // s
+        for p in tuple(live):
+            ix, iy = pairs[p]
+            fvs = _accel.segment_products(det[ix], det[iy], s, n_seg)
+            zeros = np.flatnonzero(fvs == 0.0)
+            if zeros.size:
+                out[p] = DegenerateSegmentError(
+                    f"segment {zeros[0]} at scale {s} has zero fluctuation")
+                live.remove(p)
+            else:
+                values[p][:, j] = _accel.q_moments(fvs, q_grid)
+        if not live:
+            break
+    for p in live:
+        surface = FluctuationSurface(scales=scales, q_grid=q_grid,
+                                     values=values[p])
+        out[p] = (surface, hurst_curve(surface))
+    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import operator
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,6 +73,14 @@ class RunConfig:
         if not schemes and self.n_surrogates > 0:
             raise PipelineError(
                 "schemes must name at least one scheme when n_surrogates > 0")
+        for name in ("master_seed", "workers"):
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    operator.index(value)
+            except TypeError:
+                raise PipelineError(
+                    f"{name} must be an integer, got {value!r}") from None
         if self.master_seed < 0:
             raise PipelineError(
                 f"master_seed must be >= 0, got {self.master_seed}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -77,19 +78,6 @@ class SurrogateTestReport:
     f_std: np.ndarray
 
 
-def iaaft(series: np.ndarray, max_iter: int = 1000, seed: int = 0) -> np.ndarray:
-    """Surrogate preserving the value multiset and the amplitude spectrum.
-
-    Alternates spectral amplitude imposition with a rank-order remap to
-    the sorted original values, starting from a seeded shuffle, until the
-    rank permutation stops changing or max_iter is reached.  The output
-    is always an exact permutation of the input.
-    """
-    out, _ = iaaft_rows(np.asarray(series, dtype=np.float64).reshape(1, -1),
-                        [seed], max_iter)
-    return out[0]
-
-
 # Values (rows x n) one IAAFT batch holds.  At the paper's n=6065 that
 # is 16 rows, whose working arrays raise peak memory by about 8 MB; above
 # n=50 000 (so at n=2^16) it is one row, where a wider batch no longer
@@ -103,11 +91,16 @@ def _batch_rows(n: int) -> int:
 
 def iaaft_rows(rows: np.ndarray, seeds, max_iter: int = 1000
                ) -> tuple[np.ndarray, np.ndarray]:
-    """IAAFT of each row of a (rows x n) array, with its own seed.
+    """IAAFT surrogate of each row of a (rows x n) array, with its own seed.
 
-    Row i of the result, and its iteration count, are bit-identical to
-    those of rows[i] alone with seeds[i]: the rows share only the FFT and
-    sort calls, never data.  Rows run in batches of _batch_rows(n).
+    A surrogate keeps its row's value multiset and amplitude spectrum.
+    It alternates spectral amplitude imposition with a rank-order remap
+    to the sorted row, starting from a seeded shuffle, until the rank
+    permutation stops changing or max_iter is reached, so it is always an
+    exact permutation of the row.  Row i of the result, and its iteration
+    count, are bit-identical to those of rows[i] alone with seeds[i]: the
+    rows share only the FFT and sort calls, never data.  Rows run in
+    batches of _batch_rows(n).
     Each iterate is ranked by its stable sort order (_sort_order): one
     plain argsort, with a stable sort again only for rows holding a tie.
     """
@@ -243,14 +236,18 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
         raise SurrogateError("need at least one scheme")
     if len(set(schemes)) < len(schemes):
         raise SurrogateError(f"repeated scheme in {[s.value for s in schemes]}")
-    if n < 1:
-        raise SurrogateError(f"need n >= 1, got {n}")
-    if master_seed < 0:
-        raise SurrogateError(f"master_seed must be >= 0, got {master_seed}")
     if workers is None:
         workers = default_workers()
-    if workers < 1:
-        raise SurrogateError(f"workers must be >= 1, got {workers}")
+    for name, value, least in (("n", n, 1), ("master_seed", master_seed, 0),
+                               ("max_iter", max_iter, 1),
+                               ("workers", workers, 1)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise SurrogateError(
+                f"{name} must be an integer, got {value!r}") from None
+        if value < least:
+            raise SurrogateError(f"{name} must be >= {least}, got {value}")
     if delta_alpha_original is None:
         _, hurst = dma.analyze_pair(pair.x.values, pair.y.values, analysis)
         delta_alpha_original = joint_spectrum(hurst).delta_alpha

@@ -6,7 +6,8 @@ own, building every member from scratch, evaluating it on the per-pair
 DMA path of dma_oracle, and reduces it the same way the package does.
 Neither shares work, so they pin down what the shared surrogate bank,
 the single-argsort loop and the one-pass evaluation of a member's
-schemes must reproduce bit for bit.
+schemes must reproduce bit for bit.  iaaft is no reference: it is the
+package's batched IAAFT (iaaft_rows) called on one series.
 """
 
 import numpy as np
@@ -15,7 +16,14 @@ from dma_oracle import analyze_pair_reference
 from mfxdma.dma import DegenerateSegmentError, HurstCurve
 from mfxdma.multifractal import joint_spectrum
 from mfxdma.series import AlignedPair, ReturnSeries
-from mfxdma.surrogate import SurrogateError, SurrogateTestReport
+from mfxdma.surrogate import SurrogateError, SurrogateTestReport, iaaft_rows
+
+
+def iaaft(series, max_iter=1000, seed=0):
+    """The package's IAAFT of one series: row 0 of a one-row batch."""
+    (out,), _ = iaaft_rows(np.asarray(series, dtype=np.float64)[None],
+                           [seed], max_iter)
+    return out
 
 
 def iaaft_reference(series, max_iter=1000, seed=0):

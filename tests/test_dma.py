@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import runpy
@@ -11,7 +12,7 @@ from dma_oracle import segment_fluctuations
 from mfxdma import _accel
 from mfxdma.dma import (DegenerateSegmentError, DmaConfig, DmaError,
                         FluctuationSurface, analyze_pair, analyze_pairs,
-                        fluctuation_surface, hurst_curve, profile, residuals)
+                        hurst_curve, profile, residuals)
 from mfxdma.stats import ols_polyfit
 
 
@@ -92,6 +93,13 @@ _SMALL_GRID = DmaConfig(scale_min=4, scale_max=8, n_scales=4,
                         q_grid=np.array([-2.0, 0.0, 2.0]))
 
 
+def _surface(x_det, y_det, config):
+    """F_xy(q,s) of detrendable inputs: analyze_pair with the profile off."""
+    surface, _ = analyze_pair(x_det, y_det,
+                              dataclasses.replace(config, use_profile=False))
+    return surface
+
+
 class TestSegmentFluctuations:
     def test_self_pair_reduces_to_squared_residuals(self):
         rng = np.random.default_rng(3)
@@ -107,7 +115,7 @@ class TestSegmentFluctuations:
         fvs = segment_fluctuations(z, z, 5, 0.0)
         assert np.all(fvs == 0.0)
         with pytest.raises(DegenerateSegmentError):
-            fluctuation_surface(z, z, _SMALL_GRID)
+            _surface(z, z, _SMALL_GRID)
 
     def test_small_instance_matches_brute_force(self):
         rng = np.random.default_rng(17)
@@ -135,10 +143,10 @@ class TestSegmentFluctuations:
     def test_no_complete_segment(self):
         with pytest.raises(DmaError, match="segment"):
             segment_fluctuations(np.arange(10.0), np.arange(10.0), 6, 0.0)
-        # scale 6 leaves 5 residuals of 10 points
-        with pytest.raises(DmaError, match="no complete segment of size 6"):
-            fluctuation_surface(np.arange(10.0), np.arange(10.0) ** 2,
-                                _SMALL_GRID)
+        # 10 points hold no segment at scale 6, and the length check
+        # refuses their scale grid before any scale is reached
+        with pytest.raises(DmaError, match="scale_max=8 exceeds N/4=2"):
+            _surface(np.arange(10.0), np.arange(10.0) ** 2, _SMALL_GRID)
 
 
 class TestFluctuationFunction:
@@ -165,7 +173,7 @@ class TestFluctuationFunction:
         y = np.cumsum(rng.standard_normal(40))
         with pytest.raises(DegenerateSegmentError,
                            match="segment 1 at scale 4"):
-            fluctuation_surface(x, y, _SMALL_GRID)
+            _surface(x, y, _SMALL_GRID)
 
 
 class TestHurstCurve:
@@ -245,7 +253,7 @@ class TestSurfaceInvariants:
         z1 = np.cumsum(rng.standard_normal(2000))
         z2 = np.cumsum(rng.standard_normal(2000))
         cfg = DmaConfig(scale_min=10, scale_max=250, n_scales=12)
-        surf = fluctuation_surface(z1, z2, cfg)
+        surf = _surface(z1, z2, cfg)
         diffs = np.diff(surf.values, axis=0)
         assert np.all(diffs >= -1e-9 * surf.values[:-1])
 
@@ -384,4 +392,5 @@ class TestBenchmarkProbes:
                                   name)}
         assert missing == {"surrogate.intrinsic_test",
                            "surrogate.iaaft_with_iterations",
-                           "pipeline.emit_plot_data"}
+                           "pipeline.emit_plot_data", "surrogate.iaaft",
+                           "dma.fluctuation_surface"}

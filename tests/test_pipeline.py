@@ -92,6 +92,8 @@ class TestRunConfig:
         ("iaaft_max_iter", 0),
         ("qcc_m_max", 0),
         ("master_seed", -1),
+        ("master_seed", 1.5),
+        ("workers", 1.5),
         ("significance_level", 0.0),
         ("significance_level", 1.5),
     ])

@@ -24,8 +24,6 @@ def _unreferenced_public_functions():
 
 
 def test_no_public_function_exists_only_for_tests():
-    # iaaft: the one-series IAAFT, which perfbench traces and the IAAFT
-    # fidelity checks call.  analytic_cascade_tau: the cascade's
-    # closed-form tau, the documented oracle for the scaling chain.
-    assert _unreferenced_public_functions() == {"surrogate.iaaft",
-                                                "synth.analytic_cascade_tau"}
+    # analytic_cascade_tau: the cascade's closed-form tau, the documented
+    # oracle for the scaling chain.
+    assert _unreferenced_public_functions() == {"synth.analytic_cascade_tau"}

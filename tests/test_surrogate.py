@@ -11,8 +11,8 @@ from mfxdma import dma, synth
 from mfxdma import surrogate as sg
 from mfxdma.dma import DegenerateSegmentError, DmaConfig
 from mfxdma.surrogate import (EnsembleFailedError, SurrogateError,
-                              SurrogateScheme, iaaft, iaaft_rows,
-                              intrinsic_tests)
+                              SurrogateScheme, iaaft_rows, intrinsic_tests)
+from surrogate_oracle import iaaft
 
 S1, S2, S3 = SurrogateScheme
 CFG = DmaConfig(scale_min=8, scale_max=60, n_scales=8)
@@ -361,7 +361,9 @@ class TestIntrinsicTest:
             intrinsic_tests(pair, (S1, S3, 1), 3, 0, CFG)
 
     @pytest.mark.parametrize("bad", [{"workers": 0}, {"workers": -1},
-                                     {"master_seed": -1}])
+                                     {"master_seed": -1},
+                                     {"workers": 1.5}, {"master_seed": 1.5},
+                                     {"n": 2.5}, {"max_iter": 0}])
     def test_bad_workers_or_seed_named_before_any_work(self, monkeypatch,
                                                        bad):
         def no_work(*args, **kwargs):
@@ -370,9 +372,9 @@ class TestIntrinsicTest:
         monkeypatch.setattr(sg, "iaaft_rows", no_work)
         pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
         [name] = bad
-        with pytest.raises(SurrogateError, match=name):
-            intrinsic_tests(pair, (S3,), 3, analysis=CFG,
-                            **{"master_seed": 0, **bad})
+        with pytest.raises(SurrogateError, match=f"^{name} "):
+            intrinsic_tests(pair, (S3,), analysis=CFG,
+                            **{"n": 3, "master_seed": 0, **bad})
 
     @pytest.mark.parametrize("budget", [None, 400, 1200])
     def test_chunking_and_workers_do_not_change_result(self, monkeypatch,

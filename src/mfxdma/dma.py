@@ -10,6 +10,7 @@ segment covariations are collapsed into q-th order fluctuation functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,13 @@ class DmaConfig:
     def __post_init__(self):
         if not (0.0 <= self.theta <= 1.0):
             raise DmaError(f"theta must lie in [0,1], got {self.theta}")
+        for name in ("scale_min", "scale_max", "n_scales"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DmaError(
+                    f"{name} must be an integer, got {value!r}") from None
         if self.scale_min < 2:
             raise DmaError(f"scale_min must be >= 2, got {self.scale_min}")
         if self.scale_min >= self.scale_max:

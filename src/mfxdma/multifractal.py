@@ -73,7 +73,7 @@ def joint_spectrum(hurst: HurstCurve) -> JointSpectrumResult:
 
 
 def tau_nonlinearity_test(q_grid: np.ndarray, tau: np.ndarray,
-                          level: float = 0.05) -> TauNonlinearityReport:
+                          level: float) -> TauNonlinearityReport:
     """Quadratic regression tau ~ a0 + a1 q + a2 q^2 and curvature flag."""
     if not (0.0 < level < 1.0):
         raise DmaError(f"level must be in (0,1), got {level}")

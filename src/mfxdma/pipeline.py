@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import operator
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,30 +71,24 @@ class RunConfig:
         # each scheme once, in the order first given
         schemes = tuple(dict.fromkeys(SurrogateScheme(s) for s in self.schemes))
         object.__setattr__(self, "schemes", schemes)
-        if not schemes and self.n_surrogates > 0:
-            raise PipelineError(
-                "schemes must name at least one scheme when n_surrogates > 0")
-        for name in ("master_seed", "workers"):
+        # integer settings and their least values; workers=None means the
+        # CPU count
+        for name, least in (("master_seed", 0), ("workers", 1),
+                            ("n_surrogates", 0), ("iaaft_max_iter", 1),
+                            ("qcc_m_max", 1)):
             value = getattr(self, name)
+            if name == "workers" and value is None:
+                continue
             try:
-                if value is not None:
-                    operator.index(value)
+                operator.index(value)
             except TypeError:
                 raise PipelineError(
                     f"{name} must be an integer, got {value!r}") from None
-        if self.master_seed < 0:
+            if value < least:
+                raise PipelineError(f"{name} must be >= {least}, got {value}")
+        if not schemes and self.n_surrogates > 0:
             raise PipelineError(
-                f"master_seed must be >= 0, got {self.master_seed}")
-        if self.workers is not None and self.workers < 1:
-            raise PipelineError(f"workers must be >= 1, got {self.workers}")
-        if self.n_surrogates < 0:
-            raise PipelineError(
-                f"n_surrogates must be >= 0, got {self.n_surrogates}")
-        if self.iaaft_max_iter < 1:
-            raise PipelineError(
-                f"iaaft_max_iter must be >= 1, got {self.iaaft_max_iter}")
-        if self.qcc_m_max < 1:
-            raise PipelineError(f"qcc_m_max must be >= 1, got {self.qcc_m_max}")
+                "schemes must name at least one scheme when n_surrogates > 0")
         if not (0.0 < self.significance_level < 1.0):
             raise PipelineError("significance_level must lie in (0, 1), got "
                                 f"{self.significance_level}")
@@ -190,7 +185,7 @@ def run_analysis(config: RunConfig, write: bool = True,
         if name not in ALL_STAGES:
             raise PipelineError(f"unknown stage {name!r}; "
                                 f"choose from {', '.join(ALL_STAGES)}")
-    workers = config.workers or surrogate.default_workers()
+    workers = config.workers or os.cpu_count() or 1
     pair = load_pair(config)  # input problems are fatal, not a stage failure
     analysis = None
     if "spectrum" in stages:
@@ -216,8 +211,7 @@ def run_analysis(config: RunConfig, write: bool = True,
 
     def do_qcc():
         m_max = min(config.qcc_m_max, pair.n - 1)
-        bundle.qcc = stats.qcc_test(pair.x.values, pair.y.values,
-                                    range(1, m_max + 1),
+        bundle.qcc = stats.qcc_test(pair.x.values, pair.y.values, m_max,
                                     config.significance_level)
 
     def do_spectrum():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -65,35 +64,28 @@ def chi2_critical(m: int, level: float) -> float:
     return float(special.chdtri(m, level))
 
 
-def qcc_test(x: np.ndarray, y: np.ndarray, m_range: Sequence[int],
-             level: float = 0.05) -> QccReport:
-    """Run the portmanteau test over a range of lag depths."""
+def qcc_test(x: np.ndarray, y: np.ndarray, m_max: int,
+             level: float) -> QccReport:
+    """Run the portmanteau test at every lag depth m = 1..m_max."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.size
     if y.size != n:
         raise StatsError("inputs must share length")
-    m_arr = np.asarray(list(m_range), dtype=np.int64)
-    if m_arr.size == 0:
-        raise StatsError("empty m range")
-    if m_arr.max() >= n:
-        raise StatsError(f"max lag depth {m_arr.max()} must be < N={n}")
-    if m_arr.min() < 1:
-        raise StatsError("lag depths must be >= 1")
+    if not (1 <= m_max < n):
+        raise StatsError(f"max lag depth {m_max} must be in [1, N={n})")
     denom = math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
     if denom == 0.0:
         raise StatsError("zero-variance input")
-    m_max = int(m_arr.max())
     # lagged cross-correlations X_i = sum_k x[k] y[k-i] / denom, i = 1..m_max
     xc = np.empty(m_max)
     for i in range(1, m_max + 1):
         xc[i - 1] = float(np.dot(x[i:], y[: n - i])) / denom
-    terms = n * n * xc * xc / (n - np.arange(1, m_max + 1, dtype=np.float64))
-    cumulative = np.cumsum(terms)
-    qcc = cumulative[m_arr - 1]
-    critical = np.array([chi2_critical(int(m), level) for m in m_arr])
+    m_values = np.arange(1, m_max + 1)
+    qcc = np.cumsum(n * n * xc * xc / (n - m_values))
+    critical = np.array([chi2_critical(m, level) for m in range(1, m_max + 1)])
     return QccReport(
-        m_values=m_arr,
+        m_values=m_values,
         qcc=qcc,
         critical=critical,
         significance_level=level,

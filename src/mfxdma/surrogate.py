@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import operator
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -89,7 +88,7 @@ def _batch_rows(n: int) -> int:
     return max(1, _BATCH_ELEMENTS // n)
 
 
-def iaaft_rows(rows: np.ndarray, seeds, max_iter: int = 1000
+def iaaft_rows(rows: np.ndarray, seeds, max_iter: int
                ) -> tuple[np.ndarray, np.ndarray]:
     """IAAFT surrogate of each row of a (rows x n) array, with its own seed.
 
@@ -204,16 +203,12 @@ def _member_spectra(series, pairs, config: DmaConfig
             for r in dma.analyze_pairs(series, pairs, config)]
 
 
-def default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
-                    analysis: DmaConfig, max_iter: int = 1000,
-                    workers: int | None = None,
-                    delta_alpha_original: float | None = None
+                    analysis: DmaConfig, max_iter: int, workers: int,
+                    delta_alpha_original: float
                     ) -> list[SurrogateTestReport]:
-    """Compare the pair's singularity width against one ensemble per scheme.
+    """Compare the pair's singularity width, delta_alpha_original (the
+    delta_alpha of its own spectrum), against one ensemble per scheme.
 
     The schemes share one surrogate bank: member k draws its x surrogate
     from seed (master_seed, k, 0) and its y surrogate from
@@ -223,21 +218,17 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
     surrogates in one iaaft_rows call and evaluates every member under
     every scheme in one DMA pass (_member_spectra), which detrends the
     originals and each surrogate once.  Chunks run on a pool of `workers`
-    threads (default: the CPU count), split so that every worker gets
-    one, and only the chunks in flight hold surrogates; seeds are derived
-    per member, so the outcome depends on neither the chunking nor the
-    worker count.  Reports come back in the order of schemes.  Every
-    scheme is reduced before EnsembleFailedError names those with no
-    completed member.  Pass delta_alpha_original to reuse an
-    already-computed original width.
+    threads, split so that every worker gets one, and only the chunks in
+    flight hold surrogates; seeds are derived per member, so the outcome
+    depends on neither the chunking nor the worker count.  Reports come
+    back in the order of schemes.  Every scheme is reduced before
+    EnsembleFailedError names those with no completed member.
     """
     schemes = tuple(SurrogateScheme(s) for s in schemes)
     if not schemes:
         raise SurrogateError("need at least one scheme")
     if len(set(schemes)) < len(schemes):
         raise SurrogateError(f"repeated scheme in {[s.value for s in schemes]}")
-    if workers is None:
-        workers = default_workers()
     for name, value, least in (("n", n, 1), ("master_seed", master_seed, 0),
                                ("max_iter", max_iter, 1),
                                ("workers", workers, 1)):
@@ -248,9 +239,6 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
                 f"{name} must be an integer, got {value!r}") from None
         if value < least:
             raise SurrogateError(f"{name} must be >= {least}, got {value}")
-    if delta_alpha_original is None:
-        _, hurst = dma.analyze_pair(pair.x.values, pair.y.values, analysis)
-        delta_alpha_original = joint_spectrum(hurst).delta_alpha
     originals = (pair.x.values, pair.y.values)
     sides = [side for side, needed in
              enumerate((any(s.replaces_x for s in schemes),

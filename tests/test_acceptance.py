@@ -8,6 +8,7 @@ are part of the contract and are asserted, not just reported.
 import contextlib
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -156,7 +157,7 @@ def test_qcc_calibration_and_chi2_oracle():
         for _ in range(200):
             xv = rng.standard_normal(1000)
             yv = rng.standard_normal(1000)
-            rejections += bool(stats.qcc_test(xv, yv, [10]).reject[0])
+            rejections += bool(stats.qcc_test(xv, yv, 10, 0.05).reject[-1])
         rate = rejections / 200.0
         chi2_err = max(
             abs(stats.chi2_critical(m, 0.05) - _chi2_upper_tail_root(m, 0.05))
@@ -195,7 +196,7 @@ def test_surrogate_test_discrimination():
         t0 = time.time()
         [cascade_rep] = surrogate.intrinsic_tests(
             pair, (SurrogateScheme.IAAFT_X_IAAFT_Y,), 200, 42, config,
-            delta_alpha_original=delta)
+            max_iter=1000, workers=os.cpu_count(), delta_alpha_original=delta)
         cascade_seconds = time.time() - t0
 
         null_config = DmaConfig()
@@ -208,6 +209,7 @@ def test_surrogate_test_discrimination():
             ndelta = multifractal.joint_spectrum(nh).delta_alpha
             ps = [rep.p_value for rep in surrogate.intrinsic_tests(
                 null_pair, tuple(SurrogateScheme), 60, 9000 + r, null_config,
+                max_iter=1000, workers=os.cpu_count(),
                 delta_alpha_original=ndelta)]
             clean += all(p > 0.10 for p in ps)
         record(cascade_rep.p_value < 0.10 and cascade_seconds < 300

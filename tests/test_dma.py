@@ -239,6 +239,12 @@ class TestDmaConfig:
         with pytest.raises(DmaError, match="N/4"):
             DmaConfig().validate_for_length(1000)
 
+    @pytest.mark.parametrize("field, value", [
+        ("scale_min", 10.0), ("scale_max", 300.5), ("n_scales", 30.5)])
+    def test_scale_settings_must_be_integers(self, field, value):
+        with pytest.raises(DmaError, match=f"^{field} must be an integer"):
+            DmaConfig(**{field: value})
+
     def test_n_scales_minimum(self):
         with pytest.raises(DmaError):
             DmaConfig(n_scales=3)

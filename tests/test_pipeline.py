@@ -94,6 +94,9 @@ class TestRunConfig:
         ("master_seed", -1),
         ("master_seed", 1.5),
         ("workers", 1.5),
+        ("n_surrogates", 2.5),
+        ("iaaft_max_iter", 2.5),
+        ("qcc_m_max", 10.5),
         ("significance_level", 0.0),
         ("significance_level", 1.5),
     ])

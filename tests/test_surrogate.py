@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import make_pair
 from mfxdma import dma, synth
 from mfxdma import surrogate as sg
 from mfxdma.dma import DegenerateSegmentError, DmaConfig
+from mfxdma.multifractal import joint_spectrum
 from mfxdma.surrogate import (EnsembleFailedError, SurrogateError,
                               SurrogateScheme, iaaft_rows, intrinsic_tests)
 from surrogate_oracle import iaaft
@@ -21,6 +23,17 @@ CFG = DmaConfig(scale_min=8, scale_max=60, n_scales=8)
 def _ar1(n, phi, seed):
     rng = np.random.default_rng(seed)
     return lfilter([1.0], [1.0, -phi], rng.standard_normal(n))
+
+
+def _ensemble(pair, schemes, n, master_seed, workers=None,
+              delta_alpha_original=None):
+    """intrinsic_tests on CFG with what a test leaves unsaid: 1000 IAAFT
+    iterations, one worker per CPU and the pair's own width."""
+    if delta_alpha_original is None:
+        _, hurst = dma.analyze_pair(pair.x.values, pair.y.values, CFG)
+        delta_alpha_original = joint_spectrum(hurst).delta_alpha
+    return intrinsic_tests(pair, schemes, n, master_seed, CFG, 1000,
+                           workers or os.cpu_count(), delta_alpha_original)
 
 
 def _per_pair(fake):
@@ -175,10 +188,10 @@ class TestIaaftRows:
     def test_batch_size_does_not_change_rows(self, monkeypatch):
         rows = np.stack([_ar1(300, 0.6, 36 + i) for i in range(5)])
         seeds = [21, 22, 23, 24, 25]
-        whole, whole_iters = iaaft_rows(rows, seeds)
+        whole, whole_iters = iaaft_rows(rows, seeds, 1000)
         for budget in (300, 600, 900):  # 1, 2 and 3 rows per batch
             monkeypatch.setattr(sg, "_BATCH_ELEMENTS", budget)
-            part, part_iters = iaaft_rows(rows, seeds)
+            part, part_iters = iaaft_rows(rows, seeds, 1000)
             assert np.array_equal(part, whole)
             assert np.array_equal(part_iters, whole_iters)
 
@@ -198,9 +211,9 @@ class TestIaaftRows:
 
     def test_validation(self):
         with pytest.raises(SurrogateError):
-            iaaft_rows(np.ones((2, 16)), [1])
+            iaaft_rows(np.ones((2, 16)), [1], 1000)
         with pytest.raises(SurrogateError):
-            iaaft_rows(np.ones(16), [1])
+            iaaft_rows(np.ones(16), [1], 1000)
         with pytest.raises(SurrogateError):
             iaaft_rows(np.ones((1, 16)), [1], max_iter=0)
 
@@ -215,8 +228,7 @@ def _member_inputs(monkeypatch, pair, schemes, n, seed):
         return _fake_spectrum(0.5)
 
     monkeypatch.setattr(sg, "_member_spectra", _per_pair(record))
-    intrinsic_tests(pair, schemes, n, seed, CFG, workers=1,
-                    delta_alpha_original=0.1)
+    _ensemble(pair, schemes, n, seed, workers=1, delta_alpha_original=0.1)
     monkeypatch.undo()
     width = len(schemes)
     return [seen[k * width:(k + 1) * width] for k in range(n)]
@@ -276,11 +288,9 @@ class TestIntrinsicTest:
         # every member wider than the original
         monkeypatch.setattr(sg, "_member_spectra", _per_pair(
             lambda xv, yv, config: _fake_spectrum(0.9)))
-        reports = intrinsic_tests(pair, (S1, S2, S3), 4, 0, CFG,
-                                  delta_alpha_original=0.1)
+        reports = _ensemble(pair, (S1, S2, S3), 4, 0, delta_alpha_original=0.1)
         assert [r.p_value for r in reports] == [1.0, 1.0, 1.0]
-        reports = intrinsic_tests(pair, (S1, S2, S3), 4, 0, CFG,
-                                  delta_alpha_original=2.0)
+        reports = _ensemble(pair, (S1, S2, S3), 4, 0, delta_alpha_original=2.0)
         assert [r.p_value for r in reports] == [0.0, 0.0, 0.0]
 
     def test_exclusions_counted(self, monkeypatch):
@@ -294,8 +304,8 @@ class TestIntrinsicTest:
             return _fake_spectrum(0.5)
 
         monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
-        [report] = intrinsic_tests(pair, (S3,), 4, 0, CFG, workers=1,
-                                   delta_alpha_original=0.1)
+        [report] = _ensemble(pair, (S3,), 4, 0, workers=1,
+                             delta_alpha_original=0.1)
         assert report.excluded == 1
         assert report.n_surrogates == 3
         assert report.p_value == 1.0
@@ -313,8 +323,8 @@ class TestIntrinsicTest:
             return _fake_spectrum(0.5)
 
         monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
-        reports = intrinsic_tests(pair, (S1, S2, S3), 4, 0, CFG,
-                                  workers=workers, delta_alpha_original=0.1)
+        reports = _ensemble(pair, (S1, S2, S3), 4, 0,
+                            workers=workers, delta_alpha_original=0.1)
         assert [r.excluded for r in reports] == [0, 1, 0]
         assert [r.n_surrogates for r in reports] == [4, 3, 4]
 
@@ -330,8 +340,8 @@ class TestIntrinsicTest:
         monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
         with pytest.raises(EnsembleFailedError,
                            match="under scheme 2;") as info:
-            intrinsic_tests(pair, (S1, S2, S3), 3, 0, CFG, workers=workers,
-                            delta_alpha_original=0.1)
+            _ensemble(pair, (S1, S2, S3), 3, 0, workers=workers,
+                      delta_alpha_original=0.1)
         assert [r.scheme for r in info.value.completed] == [S1, S3]
         assert [r.n_surrogates for r in info.value.completed] == [3, 3]
 
@@ -347,18 +357,17 @@ class TestIntrinsicTest:
         monkeypatch.setattr(sg, "_member_spectra", _per_pair(fake))
         with pytest.raises(EnsembleFailedError,
                            match="under schemes 2, 1;") as info:
-            intrinsic_tests(pair, (S2, S3, S1), 3, 0, CFG,
-                            delta_alpha_original=0.1)
+            _ensemble(pair, (S2, S3, S1), 3, 0, delta_alpha_original=0.1)
         assert [r.scheme for r in info.value.completed] == [S3]
 
     def test_argument_validation(self):
         pair = make_pair(_ar1(256, 0.5, 1), _ar1(256, 0.5, 2))
         with pytest.raises(SurrogateError):
-            intrinsic_tests(pair, (S3,), 0, 0, CFG)
+            _ensemble(pair, (S3,), 0, 0)
         with pytest.raises(SurrogateError, match="at least one"):
-            intrinsic_tests(pair, (), 3, 0, CFG)
+            _ensemble(pair, (), 3, 0)
         with pytest.raises(SurrogateError, match="repeated"):
-            intrinsic_tests(pair, (S1, S3, 1), 3, 0, CFG)
+            _ensemble(pair, (S1, S3, 1), 3, 0)
 
     @pytest.mark.parametrize("bad", [{"workers": 0}, {"workers": -1},
                                      {"master_seed": -1},
@@ -374,17 +383,19 @@ class TestIntrinsicTest:
         [name] = bad
         with pytest.raises(SurrogateError, match=f"^{name} "):
             intrinsic_tests(pair, (S3,), analysis=CFG,
-                            **{"n": 3, "master_seed": 0, **bad})
+                            **{"n": 3, "master_seed": 0, "max_iter": 1000,
+                               "workers": 1, "delta_alpha_original": 0.1,
+                               **bad})
 
     @pytest.mark.parametrize("budget", [None, 400, 1200])
     def test_chunking_and_workers_do_not_change_result(self, monkeypatch,
                                                        budget):
         pair = make_pair(_ar1(400, 0.4, 15), _ar1(400, 0.4, 16))
-        want = intrinsic_tests(pair, (1, 2, 3), 7, 41, CFG, workers=1)
+        want = _ensemble(pair, (1, 2, 3), 7, 41, workers=1)
         if budget is not None:  # 1 or 3 rows per IAAFT batch
             monkeypatch.setattr(sg, "_BATCH_ELEMENTS", budget)
         for workers in (1, 2, 3):
-            got = intrinsic_tests(pair, (1, 2, 3), 7, 41, CFG, workers=workers)
+            got = _ensemble(pair, (1, 2, 3), 7, 41, workers=workers)
             for a, b in zip(got, want):
                 for field in dataclasses.fields(a):
                     assert np.array_equal(getattr(a, field.name),
@@ -403,8 +414,8 @@ class TestIntrinsicTest:
 
     def test_worker_count_does_not_change_result(self):
         pair = make_pair(_ar1(400, 0.4, 3), _ar1(400, 0.4, 4))
-        [a] = intrinsic_tests(pair, (S3,), 6, 77, CFG, workers=1)
-        [b] = intrinsic_tests(pair, (S3,), 6, 77, CFG, workers=3)
+        [a] = _ensemble(pair, (S3,), 6, 77, workers=1)
+        [b] = _ensemble(pair, (S3,), 6, 77, workers=3)
         assert a.p_value == b.p_value
         assert a.mean_surrogate_width == b.mean_surrogate_width
         np.testing.assert_array_equal(a.widths, b.widths)
@@ -413,8 +424,7 @@ class TestIntrinsicTest:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_shared_bank_matches_per_scheme_oracle(self, workers):
         pair = make_pair(_ar1(400, 0.4, 13), _ar1(400, 0.4, 14))
-        reports = intrinsic_tests(pair, (1, 2, 3), 5, 31, CFG,
-                                  workers=workers)
+        reports = _ensemble(pair, (1, 2, 3), 5, 31, workers=workers)
         assert [r.scheme for r in reports] == [S1, S2, S3]
         for rep in reports:
             ref = oracle.intrinsic_test(pair, rep.scheme, 5, 31, CFG)
@@ -438,8 +448,7 @@ class TestIntrinsicTest:
         monkeypatch.setattr(sg, "_member_spectra", _per_pair(
             lambda xv, yv, config: _fake_spectrum(0.5)))
         n = 4
-        intrinsic_tests(pair, schemes, n, 0, CFG, workers=1,
-                        delta_alpha_original=0.1)
+        _ensemble(pair, schemes, n, 0, workers=1, delta_alpha_original=0.1)
         assert built["rows"] == per_member * n
 
     def test_member_surrogates_detrended_once(self, monkeypatch):
@@ -460,13 +469,12 @@ class TestIntrinsicTest:
         for schemes, per_scale in (((S1, S2, S3), 2 + 2 * n), ((S1,), 1 + n),
                                    ((S3,), 2 * n)):
             calls["n"] = 0
-            intrinsic_tests(pair, schemes, n, 3, CFG, workers=1,
-                            delta_alpha_original=0.1)
+            _ensemble(pair, schemes, n, 3, workers=1, delta_alpha_original=0.1)
             assert calls["n"] == per_scale * CFG.scales().size, schemes
 
     def test_report_invariants(self):
         pair = make_pair(_ar1(400, 0.4, 5), _ar1(400, 0.4, 6))
-        [report] = intrinsic_tests(pair, (S1,), 5, 3, CFG)
+        [report] = _ensemble(pair, (S1,), 5, 3)
         exceed = int(np.sum(report.widths > report.delta_alpha_original))
         assert report.p_value == exceed / report.n_surrogates
         assert 0.0 <= report.p_value <= 1.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,19 +27,21 @@ class DegenerateSegmentError(DmaError):
     """A segment produced zero fluctuation, poisoning q <= 0 moments."""
 
 
-def default_q_grid() -> np.ndarray:
-    return np.round(np.arange(-20, 21) * 0.25, 10)
-
-
 @dataclass(frozen=True)
 class DmaConfig:
-    """Grid and window settings for one analysis run."""
+    """Window, scale and q settings of one analysis run.
+
+    The q grid runs from q_min to q_max in steps of q_step and is the
+    derived attribute q_grid.
+    """
 
     theta: float = 0.0
+    q_min: float = -5.0
+    q_max: float = 5.0
+    q_step: float = 0.25
     scale_min: int = 10
     scale_max: int = 316
     n_scales: int = 30
-    q_grid: np.ndarray = field(default_factory=default_q_grid)
     use_profile: bool = True
 
     def __post_init__(self):
@@ -62,11 +64,18 @@ class DmaConfig:
         if distinct < 4:
             raise DmaError(f"need >= 4 distinct scales, got {distinct} "
                            f"in [{self.scale_min}, {self.scale_max}]")
-        q = np.asarray(self.q_grid, dtype=np.float64)
-        if q.ndim != 1 or q.size < 3:
-            raise DmaError("q_grid must be a 1-d grid of >= 3 points")
-        if np.any(np.diff(q) <= 0):
-            raise DmaError("q_grid must be strictly increasing")
+        for name in ("q_min", "q_max", "q_step"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise DmaError(f"{name} must be finite, got {value}")
+        if self.q_step <= 0:
+            raise DmaError(f"q_step must be positive, got {self.q_step}")
+        span = self.q_max - self.q_min
+        steps = int(round(span / self.q_step))
+        if steps < 2 or abs(span - steps * self.q_step) > 1e-9:
+            raise DmaError(f"q range [{self.q_min}, {self.q_max}] is not "
+                           "a whole number of q_step")
+        q = np.round(self.q_min + self.q_step * np.arange(steps + 1), 12)
         if not (np.any(q == 0.0) and np.any(q == 2.0)):
             raise DmaError("q_grid must contain 0 and 2")
         object.__setattr__(self, "q_grid", q)

@@ -39,35 +39,30 @@ class PipelineError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete description of one batch run; defaults follow the
-    standard protocol (backward window, q in [-5,5] step 0.25, scales
-    10..316, 1000 surrogates per scheme, lag depths up to 1000)."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(DmaConfig):
+    """Complete description of one batch run: the DMA settings it
+    inherits plus the inputs, the Qcc and the surrogate settings.
+    Defaults follow the standard protocol (backward window, q in [-5,5]
+    step 0.25, scales 10..316, 1000 surrogates per scheme, lag depths up
+    to 1000)."""
 
     input_x: str
     input_y: str
     master_seed: int
     out_dir: str = "mfxdma-out"
-    theta: float = 0.0
-    q_min: float = -5.0
-    q_max: float = 5.0
-    q_step: float = 0.25
-    scale_min: int = 10
-    scale_max: int = 316
-    n_scales: int = 30
     n_surrogates: int = 1000
     schemes: tuple[SurrogateScheme, ...] = tuple(SurrogateScheme)
     significance_level: float = 0.05
     qcc_m_max: int = 1000
     standardize: bool = False
-    use_profile: bool = True
     iaaft_max_iter: int = 1000
     date_column: str = "date"
     value_column: str = "value"
     workers: int | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         # each scheme once, in the order first given
         schemes = tuple(dict.fromkeys(SurrogateScheme(s) for s in self.schemes))
         object.__setattr__(self, "schemes", schemes)
@@ -92,31 +87,6 @@ class RunConfig:
         if not (0.0 < self.significance_level < 1.0):
             raise PipelineError("significance_level must lie in (0, 1), got "
                                 f"{self.significance_level}")
-
-    def q_grid(self) -> np.ndarray:
-        for name in ("q_min", "q_max", "q_step"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise PipelineError(f"{name} must be finite, got {value}")
-        if self.q_step <= 0:
-            raise PipelineError(f"q_step must be positive, got {self.q_step}")
-        span = self.q_max - self.q_min
-        steps = int(round(span / self.q_step))
-        if steps < 2 or abs(span - steps * self.q_step) > 1e-9:
-            raise PipelineError(
-                f"q range [{self.q_min}, {self.q_max}] is not a whole number of q_step"
-            )
-        return np.round(self.q_min + self.q_step * np.arange(steps + 1), 12)
-
-    def dma_config(self) -> DmaConfig:
-        return DmaConfig(
-            theta=self.theta,
-            scale_min=self.scale_min,
-            scale_max=self.scale_max,
-            n_scales=self.n_scales,
-            q_grid=self.q_grid(),
-            use_profile=self.use_profile,
-        )
 
 
 @dataclass
@@ -176,9 +146,8 @@ def run_analysis(config: RunConfig, write: bool = True,
     Stages run in the order of ALL_STAGES, whatever the order asked.  Bad
     input or config raises before any stage runs; a stage that raises is
     recorded in the bundle and the run goes on.  The surrogate stage is
-    skipped when config.n_surrogates is 0, and the DMA config is built
-    and checked against the series length only when "spectrum" is
-    selected.
+    skipped when config.n_surrogates is 0, and the scale grid is checked
+    against the series length only when "spectrum" is selected.
     """
     started = time.time()
     for name in stages:
@@ -187,10 +156,8 @@ def run_analysis(config: RunConfig, write: bool = True,
                                 f"choose from {', '.join(ALL_STAGES)}")
     workers = config.workers or os.cpu_count() or 1
     pair = load_pair(config)  # input problems are fatal, not a stage failure
-    analysis = None
     if "spectrum" in stages:
-        analysis = config.dma_config()
-        analysis.validate_for_length(pair.n)
+        config.validate_for_length(pair.n)
     bundle = AnalysisBundle(config=config,
                             pair_label=f"{pair.x.label}-{pair.y.label}")
 
@@ -215,7 +182,7 @@ def run_analysis(config: RunConfig, write: bool = True,
                                     config.significance_level)
 
     def do_spectrum():
-        surface, hurst = dma.analyze_pair(pair.x.values, pair.y.values, analysis)
+        surface, hurst = dma.analyze_pair(pair.x.values, pair.y.values, config)
         bundle.surface = surface
         bundle.hurst = hurst
         bundle.spectrum = multifractal.joint_spectrum(hurst)
@@ -233,7 +200,7 @@ def run_analysis(config: RunConfig, write: bool = True,
         try:
             bundle.surrogate_tests = surrogate.intrinsic_tests(
                 pair, config.schemes, config.n_surrogates, config.master_seed,
-                analysis, max_iter=config.iaaft_max_iter, workers=workers,
+                config, max_iter=config.iaaft_max_iter, workers=workers,
                 delta_alpha_original=bundle.spectrum.delta_alpha)
         except surrogate.EnsembleFailedError as exc:
             # every scheme that completed is still reported

@@ -90,36 +90,42 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
     duplicate dates are an error.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SeriesError(f"{path}: empty file, expected a header row")
+            for col in (date_column, value_column):
+                if col not in header:
+                    raise SeriesError(
+                        f"{path}: missing column {col!r} (header has {header})")
+                if header.count(col) > 1:
+                    raise SeriesError(f"{path}: header names column {col!r} "
+                                      f"{header.count(col)} times")
+            di, vi = header.index(date_column), header.index(value_column)
+            width = max(di, vi) + 1
+            dates, values = [], []
+            unparsed = None
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [""] * (width - len(row))
+                dates.append(row[di].strip())
+                try:
+                    values.append(float(row[vi]))
+                except ValueError:
+                    unparsed = row[vi].strip()
+                    break
     except FileNotFoundError:
         raise SeriesError(f"input file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SeriesError(f"{path}: empty file, expected a header row")
-        for col in (date_column, value_column):
-            if col not in header:
-                raise SeriesError(
-                    f"{path}: missing column {col!r} (header has {header})")
-            if header.count(col) > 1:
-                raise SeriesError(f"{path}: header names column {col!r} "
-                                  f"{header.count(col)} times")
-        di, vi = header.index(date_column), header.index(value_column)
-        width = max(di, vi) + 1
-        dates, values = [], []
-        unparsed = None
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                row += [""] * (width - len(row))
-            dates.append(row[di].strip())
-            try:
-                values.append(float(row[vi]))
-            except ValueError:
-                unparsed = row[vi].strip()
-                break
+    except OSError as exc:
+        raise SeriesError(
+            f"cannot read input file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise SeriesError(
+            f"{path}: not UTF-8 text ({exc.reason}, byte 0x{bad:02x})") from None
     dates_arr, bad_date = _iso_days(dates)
     values_arr = np.array(values, dtype=np.float64)
     wrong = np.flatnonzero(~((values_arr > 0.0) & (values_arr < math.inf)))

@@ -138,7 +138,7 @@ def test_fluctuation_equals_brute_force():
         yv = rng.standard_normal(64)
         bx, by = _brute_profile(xv.tolist()), _brute_profile(yv.tolist())
         config = dma.DmaConfig(scale_min=8, scale_max=16, n_scales=4,
-                               q_grid=np.array([-2.0, 0.0, 2.0]))
+                               q_min=-2.0, q_max=2.0, q_step=2.0)
         surface, _ = dma.analyze_pair(xv, yv, config)
         worst = 0.0
         for j, s in enumerate(surface.scales):

@@ -90,7 +90,7 @@ def _brute_fvs(x_det, y_det, s, theta):
 
 # scales 4, 5, 6, 8
 _SMALL_GRID = DmaConfig(scale_min=4, scale_max=8, n_scales=4,
-                        q_grid=np.array([-2.0, 0.0, 2.0]))
+                        q_min=-2.0, q_max=2.0, q_step=2.0)
 
 
 def _surface(x_det, y_det, config):
@@ -224,11 +224,11 @@ class TestDmaConfig:
 
     def test_q_grid_must_contain_0_and_2(self):
         with pytest.raises(DmaError, match="0 and 2"):
-            DmaConfig(q_grid=np.array([-1.0, 1.0, 3.0]))
+            DmaConfig(q_min=-1.0, q_max=3.0, q_step=2.0)
 
     def test_q_grid_must_increase(self):
-        with pytest.raises(DmaError, match="increasing"):
-            DmaConfig(q_grid=np.array([2.0, 0.0, -2.0]))
+        with pytest.raises(DmaError, match="whole number"):
+            DmaConfig(q_min=2.0, q_max=-2.0)
 
     def test_theta_bounds(self):
         with pytest.raises(DmaError):
@@ -327,7 +327,7 @@ class TestBatchedKernel:
         DmaConfig(theta=0.5, scale_max=400),
         DmaConfig(theta=1.0, scale_min=4, scale_max=100, n_scales=12),
         DmaConfig(use_profile=False, scale_max=400,
-                  q_grid=np.linspace(-10.0, 10.0, 81)),
+                  q_min=-10.0, q_max=10.0, q_step=0.25),
     ])
     def test_single_pair_matches_per_pair_path(self, config):
         x, y, _, _ = _member(2048, 7)

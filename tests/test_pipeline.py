@@ -12,7 +12,7 @@ import pytest
 
 from conftest import write_series_csv
 from mfxdma import cli, dma, pipeline, synth
-from mfxdma.dma import FluctuationSurface
+from mfxdma.dma import DmaConfig, DmaError, FluctuationSurface
 from mfxdma.multifractal import TauNonlinearityReport
 from mfxdma.pipeline import (AnalysisBundle, PipelineError, RunConfig,
                              run_analysis, write_bundle)
@@ -44,33 +44,39 @@ def _config(tmp_path, **kw):
 class TestRunConfig:
     def test_default_q_grid(self):
         cfg = RunConfig(input_x="a", input_y="b", master_seed=0)
-        q = cfg.q_grid()
+        q = cfg.q_grid
         assert q.size == 41
         assert q[0] == -5.0 and q[-1] == 5.0
         assert 0.0 in q and 2.0 in q
 
     def test_bad_q_range(self):
-        cfg = RunConfig(input_x="a", input_y="b", master_seed=0, q_step=0.3)
-        with pytest.raises(PipelineError):
-            cfg.q_grid()
+        with pytest.raises(DmaError, match="q_step"):
+            RunConfig(input_x="a", input_y="b", master_seed=0, q_step=0.3)
 
     @pytest.mark.parametrize("field, value", [
         ("q_min", -math.inf), ("q_max", math.inf), ("q_step", math.nan),
     ])
     def test_non_finite_q_bound_named(self, field, value):
-        cfg = RunConfig(**{"input_x": "a", "input_y": "b", "master_seed": 0,
-                           field: value})
-        with pytest.raises(PipelineError, match=field):
-            cfg.q_grid()
+        with pytest.raises(DmaError, match=field):
+            RunConfig(**{"input_x": "a", "input_y": "b", "master_seed": 0,
+                         field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("scale_max", 300.5), ("n_scales", 30.5)])
+    def test_dma_settings_checked_when_built(self, field, value):
+        # so no run starts with them, even one whose stages never detrend
+        with pytest.raises(DmaError, match=field):
+            RunConfig(**{"input_x": "a", "input_y": "b", "master_seed": 0,
+                         field: value})
 
     def test_dma_config_mirrors_fields(self):
         cfg = RunConfig(input_x="a", input_y="b", master_seed=0,
                         theta=0.25, scale_min=12, scale_max=200, n_scales=7,
                         use_profile=False)
-        d = cfg.dma_config()
-        assert d.theta == 0.25
-        assert d.scale_min == 12 and d.scale_max == 200 and d.n_scales == 7
-        assert not d.use_profile
+        assert isinstance(cfg, DmaConfig)
+        assert cfg.theta == 0.25
+        assert cfg.scale_min == 12 and cfg.scale_max == 200 and cfg.n_scales == 7
+        assert not cfg.use_profile
 
     def test_schemes_converted_and_deduplicated(self):
         cfg = RunConfig(input_x="a", input_y="b", master_seed=0,
@@ -433,6 +439,13 @@ class TestCli:
         assert cli.main(["qcc", "--x", str(x), "--y", str(missing)]) == 1
         assert capsys.readouterr().err == (
             f"mfxdma: error: input file not found: {missing}\n")
+
+    def test_unreadable_input_is_one_line(self, tmp_path, capsys):
+        y = _fgn_csv(tmp_path, "y.csv", 400, 2)
+        assert cli.main(["qcc", "--x", str(tmp_path), "--y", str(y)]) == 1
+        assert capsys.readouterr().err == (
+            f"mfxdma: error: cannot read input file {tmp_path}: "
+            "Is a directory\n")
 
     def test_label_with_comma_reads_back(self, tmp_path, capsys):
         x = _fgn_csv(tmp_path, "wheat,spot.csv", 600, 11)

@@ -56,6 +56,14 @@ class TestLoadCsv:
         with pytest.raises(SeriesError, match="not found"):
             load_csv(tmp_path / "nope.csv")
 
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"date,value\n2020-01-01,100\n2020-01-02,1\xff1\n")
+        with pytest.raises(SeriesError) as info:
+            load_csv(p)
+        assert str(info.value) == (
+            f"{p}: not UTF-8 text (invalid start byte, byte 0xff)")
+
     def test_missing_column(self, tmp_path):
         p = _write(tmp_path, "day,value\n2020-01-01,100\n")
         with pytest.raises(SeriesError, match="date"):

@@ -5,6 +5,8 @@ by a sliding mean whose split between past and future samples is set by
 the position parameter theta (theta=0 is the causal, backward window),
 residuals are cut into non-overlapping segments of length s, and the
 segment covariations are collapsed into q-th order fluctuation functions.
+The module holds the numeric kernels of these steps too: running sums,
+window means, segment products and q-moments.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .stats import _ols_design, _ols_fit
 
 
@@ -130,12 +131,59 @@ def profile(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values)
 
 
+def _running_sums(z: np.ndarray) -> np.ndarray:
+    # extended-precision cumsum keeps the running-sum error below float64
+    # resolution even for 1e5-point profiles
+    return np.cumsum(z, dtype=np.longdouble)
+
+
+def _window_means(sums: np.ndarray, s: int) -> np.ndarray:
+    """Means of every length-s window of the series whose running sum is
+    sums."""
+    n = sums.size
+    out = np.empty(n - s + 1, dtype=np.longdouble)
+    out[0] = sums[s - 1]
+    np.subtract(sums[s:], sums[: n - s], out=out[1:])
+    out /= s
+    return out.astype(np.float64)
+
+
+def _segment_products(
+    ex: np.ndarray, ey: np.ndarray, s: int, n_seg: int
+) -> np.ndarray:
+    prod = np.abs(ex[: n_seg * s] * ey[: n_seg * s])
+    return prod.reshape(n_seg, s).mean(axis=1)
+
+
+def _q_moments(fv: np.ndarray, q_grid: np.ndarray) -> np.ndarray:
+    """Power means of fv**0.5 of every order q, in the log domain: immune
+    to overflow for strongly negative q on near-degenerate segments.
+
+    Every q != 0 shares one (q x segments) array.  The final log and exp
+    of each q stay scalar math calls: np.log and np.exp differ from them
+    in the last bit for some inputs.
+    """
+    logf = np.log(fv)
+    out = np.empty(q_grid.size)
+    zero = q_grid == 0.0
+    out[zero] = math.exp(0.5 * logf.mean())
+    q = q_grid[~zero]
+    w = (0.5 * q)[:, None] * logf
+    m = w.max(axis=1)
+    w -= m[:, None]
+    np.exp(w, out=w)
+    means = w.sum(axis=1) / fv.size
+    t = (m + np.array([math.log(v) for v in means.tolist()])) / q
+    out[~zero] = [math.exp(v) for v in t.tolist()]
+    return out
+
+
 def residuals(z: np.ndarray, s: int, theta: float,
               sums: np.ndarray | None = None) -> np.ndarray:
     """Detrending residuals on the valid window range (length N-s+1).
 
-    sums is z's extended-precision running sum (_accel.running_sums),
-    computed here unless the caller passes it.
+    sums is z's extended-precision running sum (_running_sums), computed
+    here unless the caller passes it.
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.size
@@ -143,7 +191,9 @@ def residuals(z: np.ndarray, s: int, theta: float,
         raise DmaError(f"scale must be in [2, {n}], got {s}")
     # each window holds back samples before its point and s-1-back after
     back = math.ceil((s - 1) * (1.0 - theta))
-    means = _accel.window_means(z, s, sums)
+    if sums is None:
+        sums = _running_sums(z)
+    means = _window_means(sums, s)
     return z[back : back + means.size] - means
 
 
@@ -201,7 +251,7 @@ def analyze_pairs(series, pairs, config: DmaConfig
         raise DmaError("series lengths differ")
     n = sizes.pop()
     config.validate_for_length(n)  # so every scale has >= 3 segments
-    sums = {i: _accel.running_sums(z) for i, z in inputs.items()}
+    sums = {i: _running_sums(z) for i, z in inputs.items()}
     scales = config.scales()
     q_grid = config.q_grid
     values = [np.empty((q_grid.size, scales.size)) for _ in pairs]
@@ -213,14 +263,14 @@ def analyze_pairs(series, pairs, config: DmaConfig
         n_seg = (n - s + 1) // s
         for p in tuple(live):
             ix, iy = pairs[p]
-            fvs = _accel.segment_products(det[ix], det[iy], s, n_seg)
+            fvs = _segment_products(det[ix], det[iy], s, n_seg)
             zeros = np.flatnonzero(fvs == 0.0)
             if zeros.size:
                 out[p] = DegenerateSegmentError(
                     f"segment {zeros[0]} at scale {s} has zero fluctuation")
                 live.remove(p)
             else:
-                values[p][:, j] = _accel.q_moments(fvs, q_grid)
+                values[p][:, j] = _q_moments(fvs, q_grid)
         if not live:
             break
     for p in live:

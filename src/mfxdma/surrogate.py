@@ -239,6 +239,9 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
                 f"{name} must be an integer, got {value!r}") from None
         if value < least:
             raise SurrogateError(f"{name} must be >= {least}, got {value}")
+    if not np.isfinite(delta_alpha_original):
+        raise SurrogateError("delta_alpha_original must be finite, "
+                             f"got {delta_alpha_original}")
     originals = (pair.x.values, pair.y.values)
     sides = [side for side, needed in
              enumerate((any(s.replaces_x for s in schemes),

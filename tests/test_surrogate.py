@@ -372,7 +372,9 @@ class TestIntrinsicTest:
     @pytest.mark.parametrize("bad", [{"workers": 0}, {"workers": -1},
                                      {"master_seed": -1},
                                      {"workers": 1.5}, {"master_seed": 1.5},
-                                     {"n": 2.5}, {"max_iter": 0}])
+                                     {"n": 2.5}, {"max_iter": 0},
+                                     {"delta_alpha_original": np.nan},
+                                     {"delta_alpha_original": np.inf}])
     def test_bad_workers_or_seed_named_before_any_work(self, monkeypatch,
                                                        bad):
         def no_work(*args, **kwargs):

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, pipeline, series, synth
+from . import __version__, _require_integer, pipeline, series, synth
 from .pipeline import AnalysisBundle, RunConfig
 from .surrogate import SurrogateScheme
 
@@ -323,8 +323,8 @@ def _write_level_csv(path: str, increments: np.ndarray, scale: float,
 def _cmd_synth(args) -> int:
     if args.generator is None:
         raise _UsageError("choose a generator: fgn or cascade")
-    if args.seed is not None and args.seed < 0:
-        raise synth.SynthError(f"--seed must be >= 0, got {args.seed}")
+    if args.seed is not None:
+        _require_integer(synth.SynthError, "--seed", args.seed, 0)
     if args.generator == "fgn":
         if args.seed is None:
             raise _UsageError("--seed is required for fgn")
@@ -332,9 +332,8 @@ def _cmd_synth(args) -> int:
     else:
         if args.shuffle and args.seed is None:
             raise _UsageError("--seed is required with --shuffle")
-        spec = synth.CascadeSpec(levels=args.levels, p=args.p,
-                                 seed=args.seed or 0, shuffle=args.shuffle)
-        values = synth.binomial_cascade(spec)
+        values = synth.binomial_cascade(args.levels, args.p, args.seed or 0,
+                                        args.shuffle)
     _write_level_csv(args.out, values, args.scale, args.start_date)
     print(f"wrote {args.out} ({values.size + 1} rows)")
     return 0

@@ -12,11 +12,11 @@ window means, segment products and q-moments.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _require_integer
 from .stats import _ols_design, _ols_fit
 
 
@@ -48,19 +48,11 @@ class DmaConfig:
     def __post_init__(self):
         if not (0.0 <= self.theta <= 1.0):
             raise DmaError(f"theta must lie in [0,1], got {self.theta}")
-        for name in ("scale_min", "scale_max", "n_scales"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise DmaError(
-                    f"{name} must be an integer, got {value!r}") from None
-        if self.scale_min < 2:
-            raise DmaError(f"scale_min must be >= 2, got {self.scale_min}")
+        for name, least in (("scale_min", 2), ("scale_max", None),
+                            ("n_scales", 4)):
+            _require_integer(DmaError, name, getattr(self, name), least)
         if self.scale_min >= self.scale_max:
             raise DmaError("scale_min must be < scale_max")
-        if self.n_scales < 4:
-            raise DmaError(f"need n_scales >= 4, got {self.n_scales}")
         distinct = self.scales().size  # rounding can merge scales
         if distinct < 4:
             raise DmaError(f"need >= 4 distinct scales, got {distinct} "

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dma, multifractal, series, stats, surrogate
+from . import (__version__, _require_integer, dma, multifractal, series,
+               stats, surrogate)
 from .dma import DmaConfig, FluctuationSurface, HurstCurve
 from .multifractal import JointSpectrumResult, TauNonlinearityReport
 from .series import AlignedPair
@@ -72,15 +72,8 @@ class RunConfig(DmaConfig):
                             ("n_surrogates", 0), ("iaaft_max_iter", 1),
                             ("qcc_m_max", 1)):
             value = getattr(self, name)
-            if name == "workers" and value is None:
-                continue
-            try:
-                operator.index(value)
-            except TypeError:
-                raise PipelineError(
-                    f"{name} must be an integer, got {value!r}") from None
-            if value < least:
-                raise PipelineError(f"{name} must be >= {least}, got {value}")
+            if not (name == "workers" and value is None):
+                _require_integer(PipelineError, name, value, least)
         if not schemes and self.n_surrogates > 0:
             raise PipelineError(
                 "schemes must name at least one scheme when n_surrogates > 0")
@@ -117,10 +110,16 @@ class AnalysisBundle:
 
 
 def load_pair(config: RunConfig) -> AlignedPair:
-    a = series.load_csv(config.input_x, config.date_column, config.value_column,
-                        label=Path(config.input_x).stem)
-    b = series.load_csv(config.input_y, config.date_column, config.value_column,
-                        label=Path(config.input_y).stem)
+    """Load and align both inputs; a file named on both sides, by the
+    same absolute path and so with the same label, is read once."""
+    def load(path):
+        return series.load_csv(path, config.date_column, config.value_column,
+                               label=Path(path).stem)
+
+    a = load(config.input_x)
+    same = (os.path.abspath(config.input_y) == os.path.abspath(config.input_x)
+            and Path(config.input_y).stem == a.label)
+    b = a if same else load(config.input_y)
     pair = series.align(a, b)
     if config.standardize:
         pair = AlignedPair(
@@ -149,7 +148,7 @@ def run_analysis(config: RunConfig, write: bool = True,
     skipped when config.n_surrogates is 0, and the scale grid is checked
     against the series length only when "spectrum" is selected.
     """
-    started = time.time()
+    started = time.perf_counter()
     for name in stages:
         if name not in ALL_STAGES:
             raise PipelineError(f"unknown stage {name!r}; "
@@ -164,14 +163,15 @@ def run_analysis(config: RunConfig, write: bool = True,
     def stage(name, fn):
         if name not in stages:
             return
-        t0 = time.time()
+        t0 = time.perf_counter()
+        error = None
         try:
             fn()
-            status = StageStatus(name=name, ok=True, seconds=time.time() - t0)
         except Exception as exc:
             log.error("stage %s failed: %s", name, exc)
-            status = StageStatus(name=name, ok=False, seconds=time.time() - t0,
-                                 error=f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
+        status = StageStatus(name=name, ok=error is None,
+                             seconds=time.perf_counter() - t0, error=error)
         bundle.stages.append(status)
         log.info("stage %-14s %s in %.2fs", name,
                  "ok" if status.ok else "FAILED", status.seconds)
@@ -215,7 +215,8 @@ def run_analysis(config: RunConfig, write: bool = True,
     if write:
         out = Path(config.out_dir)
         write_bundle(bundle, out)
-        write_provenance(bundle, out, wall_seconds=time.time() - started,
+        write_provenance(bundle, out,
+                         wall_seconds=time.perf_counter() - started,
                          workers=workers)
     return bundle
 

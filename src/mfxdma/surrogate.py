@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import logging
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from . import dma
+from . import _require_integer, dma
 from .dma import DegenerateSegmentError, DmaConfig
 from .multifractal import JointSpectrumResult, joint_spectrum
 from .series import AlignedPair
@@ -110,8 +109,7 @@ def iaaft_rows(rows: np.ndarray, seeds, max_iter: int
         raise SurrogateError(f"need at least 8 samples, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise SurrogateError("non-finite input")
-    if max_iter < 1:
-        raise SurrogateError("max_iter must be >= 1")
+    _require_integer(SurrogateError, "max_iter", max_iter, 1)
     out = np.empty_like(x)
     iterations = np.empty(x.shape[0], dtype=np.int64)
     step = _batch_rows(x.shape[1])
@@ -232,13 +230,7 @@ def intrinsic_tests(pair: AlignedPair, schemes, n: int, master_seed: int,
     for name, value, least in (("n", n, 1), ("master_seed", master_seed, 0),
                                ("max_iter", max_iter, 1),
                                ("workers", workers, 1)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise SurrogateError(
-                f"{name} must be an integer, got {value!r}") from None
-        if value < least:
-            raise SurrogateError(f"{name} must be >= {least}, got {value}")
+        _require_integer(SurrogateError, name, value, least)
     if not np.isfinite(delta_alpha_original):
         raise SurrogateError("delta_alpha_original must be finite, "
                              f"got {delta_alpha_original}")

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from . import _require_integer
 
 
 class SynthError(ValueError):
@@ -25,8 +26,7 @@ def fgn(n: int, hurst: float, seed: int) -> np.ndarray:
     (Biometrika 74:95, 1987), whose eigenvalues are non-negative for
     every H in (0, 1); there is no size limit.
     """
-    if n < 16:
-        raise SynthError(f"need n >= 16, got {n}")
+    _require_integer(SynthError, "n", n, 16)
     if not (0.0 < hurst < 1.0):
         raise SynthError(f"hurst must lie in (0,1), got {hurst}")
     # first row of the 2n circulant: gamma(0..n), then gamma(n-1..1)
@@ -47,43 +47,28 @@ def fgn(n: int, hurst: float, seed: int) -> np.ndarray:
     return np.fft.fft(w).real[:n]
 
 
-@dataclass(frozen=True)
-class CascadeSpec:
-    """Multiplicative binomial measure parameters.
-
-    p = 0.5 degenerates to the uniform (monofractal) measure; the seed
-    matters only when shuffle is on.
-    """
-
-    levels: int
-    p: float
-    seed: int = 0
-    shuffle: bool = False
-
-    def __post_init__(self):
-        if self.levels < 4:
-            raise SynthError(f"need levels >= 4, got {self.levels}")
-        if not (0.0 < self.p < 1.0):
-            raise SynthError(f"p must lie in (0,1), got {self.p}")
-
-
-def binomial_cascade(spec: CascadeSpec) -> np.ndarray:
+def binomial_cascade(levels: int, p: float, seed: int = 0,
+                     shuffle: bool = False) -> np.ndarray:
     """Binomial measure over 2^levels cells; total mass exactly 1.
 
     Without shuffling, each refinement sends fraction p of a cell's mass
-    to its left child; with shuffling the branch order is randomized
-    independently per node.
+    to its left child, and p = 0.5 gives the uniform (monofractal)
+    measure; with shuffling the branch order is randomized independently
+    per node, and only then does the seed matter.
     """
-    if not spec.shuffle:
+    _require_integer(SynthError, "levels", levels, 4)
+    if not (0.0 < p < 1.0):
+        raise SynthError(f"p must lie in (0,1), got {p}")
+    if not shuffle:
         # closed form: mass depends only on the number of right turns
-        idx = np.arange(2 ** spec.levels, dtype=np.uint64)
+        idx = np.arange(2 ** levels, dtype=np.uint64)
         ones = np.bitwise_count(idx).astype(np.float64)
-        return spec.p ** (spec.levels - ones) * (1.0 - spec.p) ** ones
-    rng = np.random.default_rng(spec.seed)
+        return p ** (levels - ones) * (1.0 - p) ** ones
+    rng = np.random.default_rng(seed)
     mass = np.array([1.0])
-    for level in range(spec.levels):
+    for _ in range(levels):
         swap = rng.random(mass.size) < 0.5
-        left = np.where(swap, 1.0 - spec.p, spec.p)
+        left = np.where(swap, 1.0 - p, p)
         nxt = np.empty(2 * mass.size)
         nxt[0::2] = mass * left
         nxt[1::2] = mass * (1.0 - left)

@@ -52,7 +52,7 @@ def test_forced_identities(tmp_path):
         errs = []
         x1 = _fgn_levels_csv(tmp_path / "a.csv", 1500, 0.5, 301)
         y1 = _fgn_levels_csv(tmp_path / "b.csv", 1500, 0.5, 302)
-        cells = synth.binomial_cascade(synth.CascadeSpec(levels=12, p=0.3))
+        cells = synth.binomial_cascade(12, 0.3)
         c1 = write_series_csv(tmp_path / "c.csv",
                               np.concatenate([[1.0], np.exp(np.cumsum(cells))]))
         runs = [
@@ -95,7 +95,7 @@ def test_independent_fgn_stays_monofractal():
 
 def test_cascade_matches_closed_form_tau():
     with criterion("binomial cascade matches closed-form tau") as record:
-        cells = synth.binomial_cascade(synth.CascadeSpec(levels=16, p=0.3))
+        cells = synth.binomial_cascade(16, 0.3)
         config = DmaConfig(scale_min=16, scale_max=4096, n_scales=30)
         _, hurst = dma.analyze_pair(cells, cells, config)
         tau = multifractal.joint_spectrum(hurst).tau
@@ -188,7 +188,7 @@ def test_iaaft_rank_and_spectrum_fidelity():
 
 def test_surrogate_test_discrimination():
     with criterion("surrogate test discrimination") as record:
-        cells = synth.binomial_cascade(synth.CascadeSpec(levels=14, p=0.3))
+        cells = synth.binomial_cascade(14, 0.3)
         config = DmaConfig(scale_min=16, scale_max=2048, n_scales=30)
         pair = make_pair(cells, cells.copy())
         _, hurst = dma.analyze_pair(cells, cells, config)

@@ -251,7 +251,8 @@ class TestDmaConfig:
             DmaConfig().validate_for_length(1000)
 
     @pytest.mark.parametrize("field, value", [
-        ("scale_min", 10.0), ("scale_max", 300.5), ("n_scales", 30.5)])
+        ("scale_min", 10.0), ("scale_max", 300.5), ("n_scales", 30.5),
+        ("scale_min", True), ("n_scales", True)])
     def test_scale_settings_must_be_integers(self, field, value):
         with pytest.raises(DmaError, match=f"^{field} must be an integer"):
             DmaConfig(**{field: value})

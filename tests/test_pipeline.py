@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import write_series_csv
-from mfxdma import cli, dma, pipeline, synth
+from mfxdma import cli, dma, pipeline, series, synth
 from mfxdma.dma import DmaConfig, DmaError, FluctuationSurface
 from mfxdma.multifractal import TauNonlinearityReport
 from mfxdma.pipeline import (AnalysisBundle, PipelineError, RunConfig,
@@ -103,6 +103,8 @@ class TestRunConfig:
         ("n_surrogates", 2.5),
         ("iaaft_max_iter", 2.5),
         ("qcc_m_max", 10.5),
+        ("workers", True),
+        ("n_surrogates", True),
         ("significance_level", 0.0),
         ("significance_level", 1.5),
     ])
@@ -252,6 +254,45 @@ class TestRunAnalysis:
             run_analysis(config, write=False, stages=("qcc", "spectrum"))
         with pytest.raises(PipelineError, match="unknown stage 'hurst'"):
             run_analysis(config, write=False, stages=("qcc", "hurst"))
+
+    def test_file_named_on_both_sides_read_once(self, tmp_path, monkeypatch):
+        x = _fgn_csv(tmp_path, "x.csv", 1500, 100)
+        (tmp_path / "copy").mkdir()
+        copy = tmp_path / "copy" / "x.csv"
+        copy.write_bytes(x.read_bytes())
+        read = []
+        real = series.load_csv
+
+        def counting(path, *args, **kw):
+            read.append(path)
+            return real(path, *args, **kw)
+
+        monkeypatch.setattr(series, "load_csv", counting)
+        monkeypatch.chdir(tmp_path)
+        # one absolute path, spelled two ways: one read
+        once = _config(tmp_path, input_x=str(x), input_y="x.csv",
+                       out_dir=str(tmp_path / "once"))
+        read.clear()
+        run_analysis(once)
+        assert read == [str(x)]
+        # the same bytes at another path: two reads, the same outputs
+        twice = _config(tmp_path, input_x=str(x), input_y=str(copy),
+                        out_dir=str(tmp_path / "twice"))
+        read.clear()
+        run_analysis(twice)
+        assert read == [str(x), str(copy)]
+        files = sorted(p.relative_to(tmp_path / "once")
+                       for p in (tmp_path / "once").rglob("*.*"))
+        assert files == sorted(p.relative_to(tmp_path / "twice")
+                               for p in (tmp_path / "twice").rglob("*.*"))
+        for name in files:
+            a = (tmp_path / "once" / name).read_bytes()
+            b = (tmp_path / "twice" / name).read_bytes()
+            if name.name == "provenance.json":
+                a, b = json.loads(a), json.loads(b)
+                for prov in (a, b):
+                    del prov["runtime"], prov["config"]["input_y"]
+            assert a == b, name
 
     def test_standardize(self, tmp_path):
         config = _config(tmp_path, standardize=True)
@@ -830,3 +871,20 @@ class TestProvenance:
         assert "out_dir" not in prov["config"]
         assert prov["config"]["scale_min"] == 8
         assert prov["stages"][0]["name"] == "qcc"
+
+    def test_durations_ignore_wall_clock_steps(self, tmp_path, monkeypatch):
+        # a wall clock set back an hour at every reading
+        clock = [0.0]
+
+        def backwards():
+            clock[0] -= 3600.0
+            return clock[0]
+
+        monkeypatch.setattr(pipeline.time, "time", backwards)
+        config = _config(tmp_path)
+        run_analysis(config)
+        prov = json.loads((Path(config.out_dir) / "provenance.json").read_text())
+        durations = [prov["runtime"]["wall_seconds"],
+                     *prov["runtime"]["stage_seconds"].values()]
+        assert len(durations) == 4
+        assert all(d >= 0.0 for d in durations), durations

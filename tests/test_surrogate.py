@@ -198,7 +198,7 @@ class TestIaaftRows:
     def test_cascade_rows(self):
         # binomial cascade masses, the input of the long benchmark run:
         # 15 distinct values over 2^14 cells
-        masses = synth.binomial_cascade(synth.CascadeSpec(levels=14, p=0.3))
+        masses = synth.binomial_cascade(14, 0.3)
         _assert_rows_match_reference(np.stack([masses, masses]), [0, 1], 1000)
 
     def test_sort_order_is_the_stable_argsort(self):
@@ -216,6 +216,10 @@ class TestIaaftRows:
             iaaft_rows(np.ones(16), [1], 1000)
         with pytest.raises(SurrogateError):
             iaaft_rows(np.ones((1, 16)), [1], max_iter=0)
+        for max_iter in (2.5, True):
+            with pytest.raises(SurrogateError,
+                               match="^max_iter must be an integer"):
+                iaaft_rows(np.ones((1, 16)), [1], max_iter=max_iter)
 
 
 def _member_inputs(monkeypatch, pair, schemes, n, seed):
@@ -374,7 +378,8 @@ class TestIntrinsicTest:
                                      {"workers": 1.5}, {"master_seed": 1.5},
                                      {"n": 2.5}, {"max_iter": 0},
                                      {"delta_alpha_original": np.nan},
-                                     {"delta_alpha_original": np.inf}])
+                                     {"delta_alpha_original": np.inf},
+                                     {"workers": True}, {"n": True}])
     def test_bad_workers_or_seed_named_before_any_work(self, monkeypatch,
                                                        bad):
         def no_work(*args, **kwargs):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mfxdma.dma import DmaConfig, analyze_pair
-from mfxdma.synth import (CascadeSpec, SynthError, _fgn_autocov,
-                          analytic_cascade_tau, binomial_cascade, fgn)
+from mfxdma.synth import (SynthError, _fgn_autocov, analytic_cascade_tau,
+                          binomial_cascade, fgn)
 
 
 class TestFgn:
@@ -53,6 +53,8 @@ class TestFgn:
     def test_input_validation(self):
         with pytest.raises(SynthError):
             fgn(8, 0.5, 0)
+        with pytest.raises(SynthError, match="^n must be an integer"):
+            fgn(64.5, 0.5, 1)
         with pytest.raises(SynthError):
             fgn(100, 1.0, 0)
 
@@ -60,36 +62,41 @@ class TestFgn:
 class TestBinomialCascade:
     def test_mass_conservation(self):
         for levels in (4, 10, 16):
-            mass = binomial_cascade(CascadeSpec(levels=levels, p=0.3))
+            mass = binomial_cascade(levels, 0.3)
             assert mass.size == 2 ** levels
             assert abs(mass.sum() - 1.0) < 1e-12
 
     def test_symmetric_p_is_uniform(self):
-        mass = binomial_cascade(CascadeSpec(levels=6, p=0.5))
+        mass = binomial_cascade(6, 0.5)
         np.testing.assert_allclose(mass, 2.0 ** -6, rtol=1e-12)
 
     def test_first_and_last_cells(self):
-        mass = binomial_cascade(CascadeSpec(levels=8, p=0.3))
+        mass = binomial_cascade(8, 0.3)
         # all-left path keeps factor p each split; all-right keeps 1-p
         assert mass[0] == pytest.approx(0.3 ** 8, rel=1e-12)
         assert mass[-1] == pytest.approx(0.7 ** 8, rel=1e-12)
 
     def test_shuffle_permutes_same_multiset(self):
-        plain = binomial_cascade(CascadeSpec(levels=8, p=0.3))
-        shuffled = binomial_cascade(CascadeSpec(levels=8, p=0.3, seed=9, shuffle=True))
+        plain = binomial_cascade(8, 0.3)
+        shuffled = binomial_cascade(8, 0.3, seed=9, shuffle=True)
         assert not np.array_equal(plain, shuffled)
         np.testing.assert_allclose(np.sort(plain), np.sort(shuffled), rtol=1e-12)
 
     def test_shuffle_deterministic(self):
-        a = binomial_cascade(CascadeSpec(levels=8, p=0.3, seed=9, shuffle=True))
-        b = binomial_cascade(CascadeSpec(levels=8, p=0.3, seed=9, shuffle=True))
+        a = binomial_cascade(8, 0.3, seed=9, shuffle=True)
+        b = binomial_cascade(8, 0.3, seed=9, shuffle=True)
         assert np.array_equal(a, b)
 
     def test_spec_validation(self):
         with pytest.raises(SynthError):
-            CascadeSpec(levels=3, p=0.3)
+            binomial_cascade(3, 0.3)
         with pytest.raises(SynthError):
-            CascadeSpec(levels=8, p=1.0)
+            binomial_cascade(8, 1.0)
+        # a fractional or boolean depth is no cascade
+        with pytest.raises(SynthError, match="^levels must be an integer"):
+            binomial_cascade(4.5, 0.3)
+        with pytest.raises(SynthError, match="^levels must be an integer"):
+            binomial_cascade(True, 0.3)
 
 
 class TestAnalyticCascadeTau:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import (__version__, _require_integer, dma, multifractal, series,
                stats, surrogate)
@@ -381,5 +382,8 @@ def write_provenance(bundle: AnalysisBundle, out: Path, wall_seconds: float,
             "stage_seconds": {s.name: s.seconds for s in bundle.stages},
             "workers": workers,
             "out_dir": str(out),
+            # surrogate bits rest on scipy.fft agreeing with numpy.fft
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     })

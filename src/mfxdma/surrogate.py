@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.fft import irfft, rfft
 
 from . import _require_integer, dma
 from .dma import DegenerateSegmentError, DmaConfig
@@ -101,6 +102,9 @@ def iaaft_rows(rows: np.ndarray, seeds, max_iter: int
     batches of _batch_rows(n).
     Each iterate is ranked by its stable sort order (_sort_order): one
     plain argsort, with a stable sort again only for rows holding a tie.
+    The FFTs come from scipy.fft, whose plans are cached per length and
+    whose bits equal numpy.fft's; the remap is one gather (the tie check)
+    and one scatter per row.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(seeds):
@@ -124,7 +128,7 @@ def _iaaft_batch(x: np.ndarray, seeds, max_iter: int, out: np.ndarray,
                  iterations: np.ndarray) -> None:
     rows, n = x.shape
     sorted_vals = np.sort(x, axis=1)
-    target_amp = np.abs(np.fft.rfft(x, axis=1))
+    target_amp = np.abs(rfft(x, axis=1))
     cur = np.stack([np.random.default_rng(s).permutation(r)
                     for r, s in zip(x, seeds)])
     iterations[:] = max_iter
@@ -137,7 +141,8 @@ def _iaaft_batch(x: np.ndarray, seeds, max_iter: int, out: np.ndarray,
         # their inverse permutations (the sort orders) are.
         prev = order
         order = _sort_order(cur)
-        np.put_along_axis(cur, order, sorted_vals, axis=1)
+        for c, o, v in zip(cur, order, sorted_vals):
+            c[o] = v
         if prev is None:
             continue
         settled = np.all(order == prev, axis=1)
@@ -162,12 +167,14 @@ def _iaaft_batch(x: np.ndarray, seeds, max_iter: int, out: np.ndarray,
 def _impose_amplitudes(cur: np.ndarray, target_amp: np.ndarray) -> np.ndarray:
     """Each row with its target amplitudes and its current phases (unit
     phase where the current bin is empty), back in the time domain."""
-    spec = np.fft.rfft(cur, axis=1)
+    spec = rfft(cur, axis=1)
     mag = np.abs(spec)
-    np.divide(spec, mag, out=spec, where=mag > 0.0)
-    spec[mag == 0.0] = 1.0
+    empty = mag == 0.0
+    np.divide(spec, mag, out=spec, where=~empty)
+    if empty.any():
+        spec[empty] = 1.0
     np.multiply(target_amp, spec, out=spec)
-    return np.fft.irfft(spec, n=cur.shape[1], axis=1)
+    return irfft(spec, n=cur.shape[1], axis=1)
 
 
 def _sort_order(c: np.ndarray) -> np.ndarray:
@@ -178,11 +185,10 @@ def _sort_order(c: np.ndarray) -> np.ndarray:
     sorted again stably.
     """
     order = np.argsort(c, axis=1)
-    ranked = np.take_along_axis(c, order, axis=1)
-    tied = np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1))
-    del ranked
-    for r in tied:
-        order[r] = np.argsort(c[r], kind="stable")
+    for row, o in zip(c, order):
+        ranked = row[o]
+        if (ranked[1:] == ranked[:-1]).any():
+            o[:] = np.argsort(row, kind="stable")
     return order
 
 

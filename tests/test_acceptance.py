@@ -193,11 +193,11 @@ def test_surrogate_test_discrimination():
         pair = make_pair(cells, cells.copy())
         _, hurst = dma.analyze_pair(cells, cells, config)
         delta = multifractal.joint_spectrum(hurst).delta_alpha
-        t0 = time.time()
+        t0 = time.perf_counter()
         [cascade_rep] = surrogate.intrinsic_tests(
             pair, (SurrogateScheme.IAAFT_X_IAAFT_Y,), 200, 42, config,
             max_iter=1000, workers=os.cpu_count(), delta_alpha_original=delta)
-        cascade_seconds = time.time() - t0
+        cascade_seconds = time.perf_counter() - t0
 
         null_config = DmaConfig()
         clean = 0

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import write_series_csv
 from mfxdma import cli, dma, pipeline, series, synth
@@ -867,8 +868,10 @@ class TestProvenance:
         prov = json.loads((Path(config.out_dir) / "provenance.json").read_text())
         assert "workers" in prov["runtime"]
         assert "out_dir" in prov["runtime"]
-        assert "workers" not in prov["config"]
-        assert "out_dir" not in prov["config"]
+        assert prov["runtime"]["numpy"] == np.__version__
+        assert prov["runtime"]["scipy"] == scipy.__version__
+        for key in ("workers", "out_dir", "numpy", "scipy"):
+            assert key not in prov["config"]
         assert prov["config"]["scale_min"] == 8
         assert prov["stages"][0]["name"] == "qcc"
 

@@ -185,6 +185,15 @@ class TestIaaftRows:
         x, y = _ar1(n, 0.5, 34), _ar1(n, 0.8, 35)
         _assert_rows_match_reference(np.stack([x, y, y]), [2, 3, 4], 1000)
 
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    @pytest.mark.parametrize("n", [1019, 1024])
+    def test_fft_paths(self, n, rows):
+        # the package takes its FFTs from scipy.fft and the reference
+        # from numpy.fft; pocketfft runs Bluestein's algorithm at the
+        # prime 1019 and its radix-2 pass at 1024
+        x = np.stack([_ar1(n, 0.4 + 0.03 * i, 40 + i) for i in range(rows)])
+        _assert_rows_match_reference(x, list(range(7, 7 + rows)), 1000)
+
     def test_batch_size_does_not_change_rows(self, monkeypatch):
         rows = np.stack([_ar1(300, 0.6, 36 + i) for i in range(5)])
         seeds = [21, 22, 23, 24, 25]

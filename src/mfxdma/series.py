@@ -84,10 +84,11 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
     """Read a dated series from a UTF-8 CSV with a header row.
 
     Dates must be ISO-8601 calendar days written YYYY-MM-DD, values
-    positive decimal reals.  A byte-order mark is skipped, blank lines are
-    ignored, and an error names the file line of the first bad row (its
-    date is checked before its value).  Rows are sorted by date on load;
-    duplicate dates are an error.
+    positive decimal reals in ASCII (no '_' digit separators).  A
+    byte-order mark is skipped, blank lines are ignored, and an error
+    names the file line of the first bad row (its date is checked before
+    its value).  Rows are sorted by date on load; duplicate dates are an
+    error.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -112,10 +113,15 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
                         continue
                     row += [""] * (width - len(row))
                 dates.append(row[di].strip())
+                cell = row[vi]
                 try:
-                    values.append(float(row[vi]))
+                    # float() also takes digit separators ('1_5') and
+                    # non-ASCII digits and spaces
+                    if not cell.isascii() or "_" in cell:
+                        raise ValueError(cell)
+                    values.append(float(cell))
                 except ValueError:
-                    unparsed = row[vi].strip()
+                    unparsed = cell.strip()
                     break
     except FileNotFoundError:
         raise SeriesError(f"input file not found: {path}") from None

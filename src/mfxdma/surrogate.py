@@ -101,10 +101,12 @@ def iaaft_rows(rows: np.ndarray, seeds, max_iter: int
     rows share only the FFT and sort calls, never data.  Rows run in
     batches of _batch_rows(n).
     Each iterate is ranked by its stable sort order (_sort_order): one
-    plain argsort, with a stable sort again only for rows holding a tie.
-    The FFTs come from scipy.fft, whose plans are cached per length and
-    whose bits equal numpy.fft's; the remap is one gather (the tie check)
-    and one scatter per row.
+    in-place integer sort of words that pack each value's key with its
+    position, with a stable argsort again only for a row where two
+    neighbouring words share their high bits, or that holds an infinity
+    or a NaN.  The FFTs come from
+    scipy.fft, whose plans are cached per length and whose bits equal
+    numpy.fft's; the remap is one scatter per row.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(seeds):
@@ -178,17 +180,40 @@ def _impose_amplitudes(cur: np.ndarray, target_amp: np.ndarray) -> np.ndarray:
 
 
 def _sort_order(c: np.ndarray) -> np.ndarray:
-    """argsort(c, axis=1, kind="stable"), by numpy's default sort.
+    """argsort(c, axis=1, kind="stable") of a float (rows x n) array, by
+    one integer sort.
 
-    A row with no two equal values has exactly one ascending order, which
-    every sort returns.  Rows that hold a tie (-0.0 == 0.0 included) are
-    sorted again stably.
+    Each value becomes one int64 word: its order-preserving integer key,
+    with the low b = (n-1).bit_length() bits replaced by its position.
+    Adding 0.0 first turns -0.0 into 0.0, so the two share a key.  One
+    in-place sort of the words ranks every row, and the low bits read
+    back the order.  Where every two neighbouring words differ above
+    those bits, the row's values strictly increase, so the order is the
+    one ascending order, which is the stable one.  A row where two
+    neighbours share their high part (a tie, or distinct values whose
+    keys differ only in the replaced bits) is sorted again stably, and so
+    is a row holding an infinity or a NaN (an FFT that overflows makes
+    one; the stable sort puts NaNs last).
     """
-    order = np.argsort(c, axis=1)
-    for row, o in zip(c, order):
-        ranked = row[o]
-        if (ranked[1:] == ranked[:-1]).any():
-            o[:] = np.argsort(row, kind="stable")
+    n = c.shape[1]
+    low = (1 << (n - 1).bit_length()) - 1
+    words = np.add(c, 0.0).view(np.int64)
+    # a negative value's magnitude bits, flipped, order it below every
+    # value of smaller magnitude; its low bits are replaced anyway
+    order = words >> 63
+    order &= 0x7FFF_FFFF_FFFF_FFFF ^ low
+    words ^= order
+    words &= ~low
+    words |= np.arange(n)
+    words.sort(axis=1)
+    np.bitwise_and(words, low, out=order)
+    words ^= order  # the high parts alone
+    # only an infinity or a NaN has a high part outside [-inf, inf)
+    inf = 0x7FF0_0000_0000_0000
+    redo = (words[:, 1:] == words[:, :-1]).any(axis=1)
+    redo |= (words[:, 0] < -inf) | (words[:, -1] >= inf)
+    for r in np.flatnonzero(redo):
+        order[r] = np.argsort(c[r], kind="stable")
     return order
 
 

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -114,6 +116,39 @@ class TestLoadCsvDates:
             load_csv(p)
 
 
+class TestLoadCsvValues:
+    # float() takes each of these: digit separators, non-ASCII digits
+    # (full-width, Arabic-Indic) and a no-break space
+    @pytest.mark.parametrize("cell", ["1_5", "\uff11\uff12", "\u0661\u0662",
+                                      "12\u00a0"])
+    def test_only_ascii_decimals_parse(self, tmp_path, cell):
+        p = _write(tmp_path, f"date,value\n2000-01-01,100\n2000-01-03,{cell}\n"
+                             "2000-01,120\n")
+        with pytest.raises(SeriesError, match=re.escape(
+                f"row 3: unparseable value {cell.strip()!r}")):
+            load_csv(p)
+
+    def test_checked_cells_keep_the_first_bad_row(self, tmp_path):
+        # a '_' or a non-ASCII character outside the value cells is no
+        # error; good cells still load, and an earlier bad date is still
+        # the one reported
+        p = _write(tmp_path, "date,value_usd,note\n2000-01-01,100,caf\u00e9\n"
+                             "2000-01-03, 1.5e2 ,x\n")
+        assert load_csv(p, value_column="value_usd").values.tolist() == [
+            100.0, 150.0]
+        p = _write(tmp_path, "date,value\n2000-01,1_0\n2000-01-03,1_5\n")
+        with pytest.raises(SeriesError, match="row 2: unparseable date"):
+            load_csv(p)
+
+    def test_bad_value_before_a_late_non_utf8_byte(self, tmp_path):
+        # the rows are read no further than the first bad one
+        p = tmp_path / "late.csv"
+        p.write_bytes(b"date,value\n2000-01-01,1..5\n"
+                      + b"2000-01-03,100\n" * 20000 + b"2000-01-04,\xff\n")
+        with pytest.raises(SeriesError, match="row 2: unparseable value '1..5'"):
+            load_csv(p)
+
+
 class TestLoadCsvHeader:
     def test_byte_order_mark(self, tmp_path):
         p = tmp_path / "bom.csv"
@@ -165,6 +200,18 @@ class TestLoadCsvLayout:
         s = load_csv(p)
         assert s.values.tolist() == [100.0, 110.0]
         assert str(s.dates[1]) == "2020-01-02"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe(self, tmp_path):
+        # an input that cannot seek, such as `--x <(gunzip -c a.csv.gz)`
+        p = tmp_path / "pipe.csv"
+        os.mkfifo(p)
+        text = "date,value\n2020-01-01,100\n2020-01-02,1.5e2\n"
+        writer = threading.Thread(target=p.write_text, args=(text,),
+                                  daemon=True)
+        writer.start()
+        assert load_csv(p).values.tolist() == [100.0, 150.0]
+        writer.join(timeout=10)
 
 
 class TestLogReturns:

@@ -174,7 +174,7 @@ class TestIaaftRows:
 
     def test_ties_fall_back_to_a_full_sort(self):
         # every iterate of this tiled series holds exact ties, so every
-        # row is sorted again stably after the plain argsort
+        # row is sorted again stably after the packed sort
         tiled = np.tile(np.round(np.random.default_rng(23).standard_t(3, 150),
                                  1), 4)
         _assert_rows_match_reference(np.stack([tiled] * 4), [0, 1, 7, 12345],
@@ -212,11 +212,43 @@ class TestIaaftRows:
 
     def test_sort_order_is_the_stable_argsort(self):
         rng = np.random.default_rng(37)
-        c = rng.standard_normal((3, 50))  # row 0 holds no tie
-        c[1, [4, 9]] = 0.0, -0.0  # a signed-zero tie
-        c[2, [5, 6, 30]] = 1.5    # a three-way tie
-        assert np.array_equal(sg._sort_order(c),
-                              np.argsort(c, axis=1, kind="stable"))
+        # 8 and 9, 1024 and 1025: the edges of the position-bit count
+        for n in (8, 9, 50, 1024, 1025):
+            c = rng.standard_normal((7, n))  # row 0 holds no tie
+            c[1, [2, 6]] = 0.0, -0.0  # a signed-zero tie
+            c[2, [1, 3, 5]] = 1.5     # a three-way tie
+            # distinct values whose keys differ only in the position
+            # bits, the larger one at the lower index
+            c[3, [0, n - 1]] = np.nextafter(1.0, np.inf), 1.0
+            c[4, [0, n - 1]] = np.nextafter(-1.0, np.inf), -1.0
+            # mixed signs at the ends of the float range
+            c[5, rng.permutation(n)[:8]] = (5e-324, -5e-324, 1e308, -1e308,
+                                            2.5, -2.5, 1e-300, -1e-300)
+            # NaNs of both signs, which an overflowing FFT can make, sort
+            # last, after inf
+            c[6, [1, 2, 4, 6]] = np.nan, -np.nan, np.inf, -np.inf
+            assert np.array_equal(sg._sort_order(c),
+                                  np.argsort(c, axis=1, kind="stable")), n
+
+    def test_sort_order_on_random_rows(self):
+        # 200 rows, one call per shape: t(3) rows, the same rounded to
+        # one decimal (ties), cascade masses (17 distinct values), the
+        # masses with random signs, and t(3) rows spread over the
+        # exponent range
+        rng = np.random.default_rng(41)
+        masses = np.unique(synth.binomial_cascade(16, 0.3))
+        for n in (8, 9, 31, 64, 65, 500, 1024, 1025, 4097, 6065):
+            t3 = rng.standard_t(3, (4, n))
+            signs = rng.choice([-1.0, 1.0], (4, n))
+            c = np.concatenate([
+                rng.standard_t(3, (4, n)),
+                np.round(t3, 1),
+                rng.choice(masses, (4, n)),
+                rng.choice(masses, (4, n)) * signs,
+                t3 * 10.0 ** rng.uniform(-300, 300, (4, n)),
+            ])
+            assert np.array_equal(sg._sort_order(c),
+                                  np.argsort(c, axis=1, kind="stable")), n
 
     def test_validation(self):
         with pytest.raises(SurrogateError):

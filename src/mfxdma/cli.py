@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"mfxdma: error: {exc}\n")
         return 1
     except Exception as exc:  # the run itself broke, say writing outputs
-        log.error("run failed: %s", exc)
+        log.error("run failed: %s: %s", type(exc).__name__, exc)
         return 2
 
 

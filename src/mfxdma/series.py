@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -87,8 +86,9 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
     positive decimal reals in ASCII (no '_' digit separators).  A
     byte-order mark is skipped, blank lines are ignored, and an error
     names the file line of the first bad row (its date is checked before
-    its value).  Rows are sorted by date on load; duplicate dates are an
-    error.
+    its value).  The file is read once, up to its first bad row, so a
+    pipe gets the same errors as a file.  Rows are sorted by date on
+    load; duplicate dates are an error.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -105,24 +105,30 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
                                       f"{header.count(col)} times")
             di, vi = header.index(date_column), header.index(value_column)
             width = max(di, vi) + 1
-            dates, values = [], []
-            unparsed = None
+            dates, values, lines = [], [], []
+            bad_value = None
             for row in reader:
                 if len(row) < width:
                     if not row:
                         continue
                     row += [""] * (width - len(row))
                 dates.append(row[di].strip())
+                lines.append(reader.line_num)
                 cell = row[vi]
                 try:
                     # float() also takes digit separators ('1_5') and
                     # non-ASCII digits and spaces
                     if not cell.isascii() or "_" in cell:
                         raise ValueError(cell)
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    unparsed = cell.strip()
+                    bad_value = f"unparseable value {cell.strip()!r}"
                     break
+                if not 0.0 < value < math.inf:
+                    bad_value = ("value must be a positive finite real, "
+                                 f"got {cell.strip()}")
+                    break
+                values.append(value)
     except FileNotFoundError:
         raise SeriesError(f"input file not found: {path}") from None
     except OSError as exc:
@@ -132,25 +138,19 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
         bad = exc.object[exc.start]
         raise SeriesError(
             f"{path}: not UTF-8 text ({exc.reason}, byte 0x{bad:02x})") from None
+    # the rows end at the first bad value, so a bad date among them is
+    # the first bad row: a row's date is checked before its value
     dates_arr, bad_date = _iso_days(dates)
-    values_arr = np.array(values, dtype=np.float64)
-    wrong = np.flatnonzero(~((values_arr > 0.0) & (values_arr < math.inf)))
-    bad_value = (int(wrong[0]) if wrong.size
-                 else len(values) if unparsed is not None else None)
-    # the first bad row is reported, and a row's date before its value
-    if bad_date is not None and (bad_value is None or bad_date <= bad_value):
-        raise SeriesError(f"{path} row {_data_row(path, bad_date)[0]}: "
+    if bad_date is not None:
+        raise SeriesError(f"{path} row {lines[bad_date]}: "
                           f"unparseable date {dates[bad_date]!r}")
     if bad_value is not None:
-        line, row = _data_row(path, bad_value)
-        why = (f"value must be a positive finite real, got {row[vi].strip()}"
-               if wrong.size else f"unparseable value {unparsed!r}")
-        raise SeriesError(f"{path} row {line}: {why}")
+        raise SeriesError(f"{path} row {lines[-1]}: {bad_value}")
     if len(values) < 2:
         raise SeriesError(f"{path}: need at least 2 data rows, got {len(values)}")
     order = np.argsort(dates_arr, kind="stable")
     dates_arr = dates_arr[order]
-    values_arr = values_arr[order]
+    values_arr = np.array(values, dtype=np.float64)[order]
     dup = np.nonzero(np.diff(dates_arr).astype(int) == 0)[0]
     if dup.size:
         raise SeriesError(f"{path}: duplicate date {dates_arr[dup[0]]}")
@@ -181,16 +181,6 @@ def _iso_days(texts: list[str]) -> tuple[np.ndarray | None, int | None]:
         except ValueError:
             return None, i
     return np.array(texts, dtype="datetime64[D]"), None
-
-
-def _data_row(path, index: int) -> tuple[int, list[str]]:
-    """The file line and the fields of the index-th non-blank row after
-    the header (the last line of a row whose quoted field spans lines)."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = ((reader.line_num, row) for row in reader if row)
-        return next(itertools.islice(rows, index, None))
 
 
 def log_returns(s: RawSeries) -> ReturnSeries:

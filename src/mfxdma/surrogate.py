@@ -106,7 +106,8 @@ def iaaft_rows(rows: np.ndarray, seeds, max_iter: int
     neighbouring words share their high bits, or that holds an infinity
     or a NaN.  The FFTs come from
     scipy.fft, whose plans are cached per length and whose bits equal
-    numpy.fft's; the remap is one scatter per row.
+    numpy.fft's; the remap is one scatter per row.  A row whose
+    amplitude spectrum is not finite raises SurrogateError naming it.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(seeds):
@@ -122,15 +123,22 @@ def iaaft_rows(rows: np.ndarray, seeds, max_iter: int
     for lo in range(0, x.shape[0], step):
         hi = lo + step
         _iaaft_batch(x[lo:hi], seeds[lo:hi], max_iter, out[lo:hi],
-                     iterations[lo:hi])
+                     iterations[lo:hi], lo)
     return out, iterations
 
 
 def _iaaft_batch(x: np.ndarray, seeds, max_iter: int, out: np.ndarray,
-                 iterations: np.ndarray) -> None:
+                 iterations: np.ndarray, first: int) -> None:
+    """iaaft_rows on one batch, which starts at row `first` of its input."""
     rows, n = x.shape
     sorted_vals = np.sort(x, axis=1)
     target_amp = np.abs(rfft(x, axis=1))
+    # an overflowing FFT would make every iterate NaN, and the rank
+    # remap would hand back a permutation of the row as its surrogate
+    overflow = np.flatnonzero(~np.isfinite(target_amp).all(axis=1))
+    if overflow.size:
+        raise SurrogateError(f"row {first + overflow[0]}: its amplitude "
+                             "spectrum overflows the float range")
     cur = np.stack([np.random.default_rng(s).permutation(r)
                     for r, s in zip(x, seeds)])
     iterations[:] = max_iter

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -688,6 +689,19 @@ class TestCli:
                          "--surrogates", "0", "--out", str(out)]) == 2
         assert capsys.readouterr().out == (
             f"wrote {out} (x-y) spectrum=failed tau_fit=failed\n")
+
+    def test_unexpected_error_is_named(self, tmp_path, monkeypatch, caplog):
+        # an exception with no message still leaves a line that says what
+        # went wrong
+        def broken(*args, **kwargs):
+            raise RuntimeError()
+
+        monkeypatch.setattr(pipeline, "run_analysis", broken)
+        x = str(_fgn_csv(tmp_path, "x.csv", 400, 1))
+        with caplog.at_level(logging.ERROR, logger="mfxdma.cli"):
+            assert cli.main(["spectrum", "--x", x, "--y", x]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "run failed: RuntimeError: "]
 
     def test_config_validation_exits_1(self, tmp_path, capsys):
         x, y = self._flat_stretch_csvs(tmp_path)

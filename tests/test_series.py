@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from mfxdma import cli, series
 from mfxdma.series import RawSeries, SeriesError, align, load_csv, log_returns
 
 
@@ -19,6 +20,30 @@ def _write(tmp_path, text, name="in.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+@pytest.fixture
+def read_once():
+    """Make /dev/fd/N paths of pipes that a thread fills with a text."""
+    pipes = []
+
+    def make(text):
+        r, w = os.pipe()
+        writer = threading.Thread(target=_write_fd, args=(w, text),
+                                  daemon=True)
+        writer.start()
+        pipes.append((r, writer))
+        return f"/dev/fd/{r}"
+
+    yield make
+    for r, writer in pipes:
+        writer.join(timeout=10)
+        os.close(r)
+
+
+def _write_fd(fd, text):
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 class TestLoadCsv:
@@ -140,12 +165,16 @@ class TestLoadCsvValues:
         with pytest.raises(SeriesError, match="row 2: unparseable date"):
             load_csv(p)
 
-    def test_bad_value_before_a_late_non_utf8_byte(self, tmp_path):
+    @pytest.mark.parametrize("cell, why", [
+        ("1..5", "unparseable value '1..5'"),
+        ("-1", "value must be a positive finite real, got -1")],
+        ids=["1..5", "-1"])
+    def test_bad_value_before_a_late_non_utf8_byte(self, tmp_path, cell, why):
         # the rows are read no further than the first bad one
         p = tmp_path / "late.csv"
-        p.write_bytes(b"date,value\n2000-01-01,1..5\n"
+        p.write_bytes(f"date,value\n2000-01-01,{cell}\n".encode()
                       + b"2000-01-03,100\n" * 20000 + b"2000-01-04,\xff\n")
-        with pytest.raises(SeriesError, match="row 2: unparseable value '1..5'"):
+        with pytest.raises(SeriesError, match=re.escape(f"row 2: {why}")):
             load_csv(p)
 
 
@@ -212,6 +241,36 @@ class TestLoadCsvLayout:
         writer.start()
         assert load_csv(p).values.tolist() == [100.0, 150.0]
         writer.join(timeout=10)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_bad_row_of_a_pipe(self, tmp_path, read_once, capsys):
+        # bash's `--x <(...)` names a /dev/fd/N pipe, which can be read
+        # only once
+        text = "date,value\n2020-01-01,100\n2020-01-02,1..5\n2020-01-03,101\n"
+        path = read_once(text)
+        with pytest.raises(SeriesError, match=re.escape(
+                f"{path} row 3: unparseable value '1..5'")):
+            load_csv(path)
+        path = read_once(text)
+        y = _write(tmp_path, "date,value\n2020-01-01,100\n2020-01-02,101\n"
+                             "2020-01-03,102\n")
+        assert cli.main(["qcc", "--x", path, "--y", str(y)]) == 1
+        assert capsys.readouterr().err == (
+            f"mfxdma: error: {path} row 3: unparseable value '1..5'\n")
+
+    def test_file_is_opened_once(self, tmp_path, monkeypatch):
+        # the bad row is named from the one read, so a pipe gets it too
+        p = _write(tmp_path, "date,value\n2020-01-01,100\n2020-01-02,-5\n")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(series, "open", counting_open, raising=False)
+        with pytest.raises(SeriesError, match="row 3: value must be"):
+            load_csv(p)
+        assert opened == [p]
 
 
 class TestLogReturns:

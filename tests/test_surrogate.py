@@ -210,6 +210,18 @@ class TestIaaftRows:
         masses = synth.binomial_cascade(14, 0.3)
         _assert_rows_match_reference(np.stack([masses, masses]), [0, 1], 1000)
 
+    @pytest.mark.parametrize("budget", [300, 900])  # 1 and 3 rows per batch
+    def test_overflowing_spectrum_names_its_row(self, monkeypatch, budget):
+        # +-1e308 values overflow the FFT's sums; the NaN iterates would
+        # return the row merely shuffled
+        rows = np.stack([_ar1(300, 0.6, 50 + i) for i in range(3)])
+        rows[2, np.random.default_rng(51).permutation(300)[:64]] = np.tile(
+            [1e308, -1e308], 32)
+        monkeypatch.setattr(sg, "_BATCH_ELEMENTS", budget)
+        with pytest.raises(SurrogateError, match="^row 2: its amplitude "
+                                                 "spectrum overflows"):
+            iaaft_rows(rows, [1, 2, 3], 1000)
+
     def test_sort_order_is_the_stable_argsort(self):
         rng = np.random.default_rng(37)
         # 8 and 9, 1024 and 1025: the edges of the position-bit count

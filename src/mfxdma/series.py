@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -86,75 +88,124 @@ def load_csv(path, date_column: str = "date", value_column: str = "value",
     positive decimal reals in ASCII (no '_' digit separators).  A
     byte-order mark is skipped, blank lines are ignored, and an error
     names the file line of the first bad row (its date is checked before
-    its value).  The file is read once, up to its first bad row, so a
-    pipe gets the same errors as a file.  Rows are sorted by date on
-    load; duplicate dates are an error.
+    its value), also when a non-UTF-8 byte follows that row.  The input
+    is read once, whole, and parsed up to its first bad row, so a pipe
+    gets the same errors as a file.  Rows are sorted by date on load;
+    duplicate dates are an error.
+
+    Each distinct content is parsed once per process (the parses of up
+    to 16 inputs are kept), so the returned series' dates and values are
+    read-only arrays, which loads of the same bytes share.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise SeriesError(f"{path}: empty file, expected a header row")
-            for col in (date_column, value_column):
-                if col not in header:
-                    raise SeriesError(
-                        f"{path}: missing column {col!r} (header has {header})")
-                if header.count(col) > 1:
-                    raise SeriesError(f"{path}: header names column {col!r} "
-                                      f"{header.count(col)} times")
-            di, vi = header.index(date_column), header.index(value_column)
-            width = max(di, vi) + 1
-            dates, values, lines = [], [], []
-            bad_value = None
-            for row in reader:
-                if len(row) < width:
-                    if not row:
-                        continue
-                    row += [""] * (width - len(row))
-                dates.append(row[di].strip())
-                lines.append(reader.line_num)
-                cell = row[vi]
-                try:
-                    # float() also takes digit separators ('1_5') and
-                    # non-ASCII digits and spaces
-                    if not cell.isascii() or "_" in cell:
-                        raise ValueError(cell)
-                    value = float(cell)
-                except ValueError:
-                    bad_value = f"unparseable value {cell.strip()!r}"
-                    break
-                if not 0.0 < value < math.inf:
-                    bad_value = ("value must be a positive finite real, "
-                                 f"got {cell.strip()}")
-                    break
-                values.append(value)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
         raise SeriesError(f"input file not found: {path}") from None
     except OSError as exc:
         raise SeriesError(
             f"cannot read input file {path}: {exc.strerror}") from None
+    try:
+        dates, values = _parse(data, date_column, value_column)
+    except _BadInput as exc:
+        where = path if exc.row is None else f"{path} row {exc.row}"
+        raise SeriesError(f"{where}: {exc}") from None
+    return RawSeries(label=label or str(path), dates=dates, values=values)
+
+
+# Parses _parse keeps, by content: the paper's grid reads 9 inputs.
+_PARSED_INPUTS = 16
+
+
+class _BadInput(Exception):
+    """A parse error without the input's path; row is the file line of
+    the bad row, if a row is at fault."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
+@functools.lru_cache(maxsize=_PARSED_INPUTS)
+def _parse(data: bytes, date_column: str, value_column: str
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The dates and values of a CSV's bytes, sorted by date, as
+    read-only arrays.
+
+    A pure function of its arguments, so a memo of it never serves stale
+    data: a changed file is new bytes.  Errors raise and so are never
+    kept.
+    """
+    not_utf8 = None
+    try:
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start]
-        raise SeriesError(
-            f"{path}: not UTF-8 text ({exc.reason}, byte 0x{bad:02x})") from None
+        # the complete lines before the bad byte are parsed, so that a
+        # bad row among them is reported in its place
+        not_utf8 = (f"not UTF-8 text ({exc.reason}, "
+                    f"byte 0x{data[exc.start]:02x})")
+        data = data[:max(data.rfind(b"\n", 0, exc.start),
+                         data.rfind(b"\r", 0, exc.start)) + 1]
+    # decoded again, block by block: a StringIO of the whole text would
+    # hold 4 bytes a character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data),
+                                         encoding="utf-8-sig", newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise _BadInput(not_utf8 or "empty file, expected a header row")
+    for col in (date_column, value_column):
+        if col not in header:
+            raise _BadInput(f"missing column {col!r} (header has {header})")
+        if header.count(col) > 1:
+            raise _BadInput(
+                f"header names column {col!r} {header.count(col)} times")
+    di, vi = header.index(date_column), header.index(value_column)
+    width = max(di, vi) + 1
+    dates, values, lines = [], [], []
+    bad_value = None
+    for row in reader:
+        if len(row) < width:
+            if not row:
+                continue
+            row += [""] * (width - len(row))
+        dates.append(row[di].strip())
+        lines.append(reader.line_num)
+        cell = row[vi]
+        try:
+            # float() also takes digit separators ('1_5') and non-ASCII
+            # digits and spaces
+            if not cell.isascii() or "_" in cell:
+                raise ValueError(cell)
+            value = float(cell)
+        except ValueError:
+            bad_value = f"unparseable value {cell.strip()!r}"
+            break
+        if not 0.0 < value < math.inf:
+            bad_value = ("value must be a positive finite real, "
+                         f"got {cell.strip()}")
+            break
+        values.append(value)
     # the rows end at the first bad value, so a bad date among them is
     # the first bad row: a row's date is checked before its value
     dates_arr, bad_date = _iso_days(dates)
     if bad_date is not None:
-        raise SeriesError(f"{path} row {lines[bad_date]}: "
-                          f"unparseable date {dates[bad_date]!r}")
+        raise _BadInput(f"unparseable date {dates[bad_date]!r}",
+                        lines[bad_date])
     if bad_value is not None:
-        raise SeriesError(f"{path} row {lines[-1]}: {bad_value}")
+        raise _BadInput(bad_value, lines[-1])
+    if not_utf8 is not None:
+        raise _BadInput(not_utf8)
     if len(values) < 2:
-        raise SeriesError(f"{path}: need at least 2 data rows, got {len(values)}")
+        raise _BadInput(f"need at least 2 data rows, got {len(values)}")
     order = np.argsort(dates_arr, kind="stable")
     dates_arr = dates_arr[order]
     values_arr = np.array(values, dtype=np.float64)[order]
     dup = np.nonzero(np.diff(dates_arr).astype(int) == 0)[0]
     if dup.size:
-        raise SeriesError(f"{path}: duplicate date {dates_arr[dup[0]]}")
-    return RawSeries(label=label or str(path), dates=dates_arr, values=values_arr)
+        raise _BadInput(f"duplicate date {dates_arr[dup[0]]}")
+    dates_arr.flags.writeable = False
+    values_arr.flags.writeable = False
+    return dates_arr, values_arr
 
 
 def _iso_days(texts: list[str]) -> tuple[np.ndarray | None, int | None]:

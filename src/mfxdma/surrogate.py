@@ -107,7 +107,8 @@ def iaaft_rows(rows: np.ndarray, seeds, max_iter: int
     or a NaN.  The FFTs come from
     scipy.fft, whose plans are cached per length and whose bits equal
     numpy.fft's; the remap is one scatter per row.  A row whose
-    amplitude spectrum is not finite raises SurrogateError naming it.
+    amplitude spectrum, or any of whose iterates, is not finite raises
+    SurrogateError naming it.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != len(seeds):
@@ -146,6 +147,11 @@ def _iaaft_batch(x: np.ndarray, seeds, max_iter: int, out: np.ndarray,
     order = None
     for it in range(1, max_iter + 1):
         cur = _impose_amplitudes(cur, target_amp)
+        # an iterate can overflow where the row's spectrum did not
+        overflow = np.flatnonzero(~np.isfinite(cur).all(axis=1))
+        if overflow.size:
+            raise SurrogateError(f"row {first + live[overflow[0]]}: its "
+                                 f"iterate {it} overflows the float range")
         # rank-order remap: the value of rank j goes where the j-th
         # smallest entry sits.  Two rank vectors are equal exactly when
         # their inverse permutations (the sort orders) are.
@@ -200,8 +206,8 @@ def _sort_order(c: np.ndarray) -> np.ndarray:
     one ascending order, which is the stable one.  A row where two
     neighbours share their high part (a tie, or distinct values whose
     keys differ only in the replaced bits) is sorted again stably, and so
-    is a row holding an infinity or a NaN (an FFT that overflows makes
-    one; the stable sort puts NaNs last).
+    is a row holding an infinity or a NaN (the stable sort puts NaNs
+    last).
     """
     n = c.shape[1]
     low = (1 << (n - 1).bit_length()) - 1

@@ -177,6 +177,68 @@ class TestLoadCsvValues:
         with pytest.raises(SeriesError, match=re.escape(f"row 2: {why}")):
             load_csv(p)
 
+    def test_bad_value_before_a_near_non_utf8_byte(self, tmp_path):
+        # the bad byte is decoded in the same block as the bad row
+        p = tmp_path / "near.csv"
+        p.write_bytes(b"date,value\n2020-01-01,-1\n2020-01-02,\xff\n")
+        with pytest.raises(SeriesError) as info:
+            load_csv(p)
+        assert str(info.value) == (
+            f"{p} row 2: value must be a positive finite real, got -1")
+
+
+class TestLoadCsvMemo:
+    """Each distinct content is parsed once; a load never sees another
+    content's values."""
+
+    TEXT = "date,value\n2020-01-01,100\n2020-01-02,110\n2020-01-03,105\n"
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        series._parse.cache_clear()
+
+    def test_same_bytes_parse_once(self, tmp_path):
+        a = _write(tmp_path, self.TEXT, "a.csv")
+        b = _write(tmp_path, self.TEXT, "b.csv")
+        first, again, other = load_csv(a), load_csv(a), load_csv(b)
+        assert series._parse.cache_info().misses == 1
+        assert (first.label, other.label) == (str(a), str(b))
+        for s in (again, other):
+            assert np.array_equal(s.dates, first.dates)
+            assert s.values.tolist() == [100.0, 110.0, 105.0]
+
+    def test_rewritten_file_gives_new_values(self, tmp_path):
+        # same size and modification time, other bytes
+        p = _write(tmp_path, self.TEXT)
+        before = os.stat(p)
+        assert load_csv(p).values.tolist() == [100.0, 110.0, 105.0]
+        _write(tmp_path, self.TEXT.replace("110", "120"))
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(p).st_size == before.st_size
+        assert load_csv(p).values.tolist() == [100.0, 120.0, 105.0]
+
+    def test_arrays_are_read_only(self, tmp_path):
+        p = _write(tmp_path, self.TEXT)
+        s = load_csv(p)
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.dates[0] = np.datetime64("2019-12-31")
+        again = load_csv(p)
+        assert again.values.tolist() == [100.0, 110.0, 105.0]
+        assert str(again.dates[0]) == "2020-01-01"
+
+    def test_bad_file_fails_alike_every_load(self, tmp_path):
+        p = _write(tmp_path, "date,value\n2020-01-01,100\n2020-01-02,-5\n")
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(SeriesError) as info:
+                load_csv(p)
+            messages.add(str(info.value))
+        assert messages == {
+            f"{p} row 3: value must be a positive finite real, got -5"}
+        assert series._parse.cache_info().currsize == 0
+
 
 class TestLoadCsvHeader:
     def test_byte_order_mark(self, tmp_path):

@@ -222,6 +222,16 @@ class TestIaaftRows:
                                                  "spectrum overflows"):
             iaaft_rows(rows, [1, 2, 3], 1000)
 
+    def test_overflowing_iterate_names_its_row(self):
+        # the row's own spectrum is finite, but its first iterate holds
+        # 512 NaNs, which the rank remap would hide after 2 iterations
+        rows = np.random.default_rng(5).normal(size=(2, 1024))
+        rows[1, 0] = 1e308
+        assert np.all(np.isfinite(np.fft.rfft(rows[1])))
+        with pytest.raises(SurrogateError, match="^row 1: its iterate 1 "
+                                                 "overflows"):
+            iaaft_rows(rows, [4, 5], 1000)
+
     def test_sort_order_is_the_stable_argsort(self):
         rng = np.random.default_rng(37)
         # 8 and 9, 1024 and 1025: the edges of the position-bit count
